@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "spatial/grid_index.h"
-#include "spatial/kd_tree.h"
 #include "spatial/linear_scan.h"
 #include "spatial/rtree.h"
 
@@ -40,10 +39,6 @@ std::unique_ptr<SpatialIndex> MakeIndex<GridIndex>() {
 template <>
 std::unique_ptr<SpatialIndex> MakeIndex<RTree>() {
   return std::make_unique<RTree>();
-}
-template <>
-std::unique_ptr<SpatialIndex> MakeIndex<KdTree>() {
-  return std::make_unique<KdTree>();
 }
 
 template <typename Index>
@@ -84,17 +79,14 @@ void BM_Knn(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_Build, LinearScan)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_Build, GridIndex)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_Build, RTree)->Arg(1000)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_Build, KdTree)->Arg(1000)->Arg(10000);
 
 BENCHMARK_TEMPLATE(BM_CircleQuery, LinearScan)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_CircleQuery, GridIndex)->Arg(1000)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_CircleQuery, RTree)->Arg(1000)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_CircleQuery, KdTree)->Arg(1000)->Arg(10000);
 
 BENCHMARK_TEMPLATE(BM_Knn, LinearScan)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_Knn, GridIndex)->Arg(10000);
 BENCHMARK_TEMPLATE(BM_Knn, RTree)->Arg(10000);
-BENCHMARK_TEMPLATE(BM_Knn, KdTree)->Arg(10000);
 
 }  // namespace
 }  // namespace casc

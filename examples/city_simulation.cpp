@@ -11,13 +11,14 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "algo/gt_assigner.h"
 #include "algo/tpg_assigner.h"
 #include "common/flags.h"
 #include "common/histogram.h"
 #include "gen/trace.h"
-#include "sim/batch_runner.h"
+#include "service/dispatch_service.h"
 
 int main(int argc, char** argv) {
   casc::FlagParser flags;
@@ -66,23 +67,27 @@ int main(int argc, char** argv) {
   }
   const casc::EventStream stream(trace.workers, trace.tasks);
 
-  std::unique_ptr<casc::Assigner> assigner;
+  casc::AssignerFactory factory;
   if (flags.GetString("approach") == "tpg") {
-    assigner = std::make_unique<casc::TpgAssigner>();
+    factory = [] { return std::make_unique<casc::TpgAssigner>(); };
   } else {
-    casc::GtOptions options;
-    options.use_tsi = true;
-    options.use_lub = true;
-    assigner = std::make_unique<casc::GtAssigner>(options);
+    factory = [] {
+      casc::GtOptions options;
+      options.use_tsi = true;
+      options.use_lub = true;
+      return std::make_unique<casc::GtAssigner>(options);
+    };
   }
+  const std::string approach = factory()->Name();
 
-  casc::BatchRunnerConfig config;
+  // One shard: every batch is solved by one assigner over the whole city.
+  casc::DispatchConfig config;
+  config.sharded.shards_per_side = 1;
   config.batch_interval = 1.0;  // one batch per "hour"
   config.task_duration = 1.0;
   config.min_group_size = 3;
-  const casc::BatchRunner runner(config);
-  const casc::RunSummary summary =
-      runner.RunStreaming(stream, coop, assigner.get());
+  casc::DispatchService service(config, &coop, std::move(factory));
+  const casc::RunSummary summary = service.Run(stream);
 
   casc::SummaryStats batch_scores;
   std::printf("\nhour  workers  open-tasks  started  score    ms\n");
@@ -98,7 +103,7 @@ int main(int argc, char** argv) {
       summary.TotalScore(),
       static_cast<long long>(summary.TotalCompletedTasks()),
       static_cast<long long>(summary.TotalAssignedWorkers()),
-      assigner->Name().c_str());
+      approach.c_str());
   std::printf("per-batch score: %s\n", batch_scores.ToString(2).c_str());
   return 0;
 }

@@ -183,83 +183,39 @@ BestResponse ComputeBestResponse(const Instance& instance,
     return false;
   };
 
-  if (!do_prune) {
-    // Unpruned scan: every non-full candidate's joining gain comes from
-    // one batched GainsIfJoined (a single RowSumMany kernel dispatch
-    // when a tile is attached), then the ascending accept rule replays
-    // over the exact same utilities the per-task calls would produce.
-    thread_local std::vector<TaskIndex> candidates;
-    thread_local std::vector<double> gains;
-    candidates.clear();
-    for (const TaskIndex t : instance.ValidTasks(w)) {
-      if (t == current) continue;
-      if (filter_joins &&
-          !objective.JoinFeasible(instance, t, keeper.GroupOf(t), w)) {
-        continue;  // counted once, in the replay loop below
-      }
-      const int capacity =
-          instance.tasks()[static_cast<size_t>(t)].capacity;
-      if (static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
-        candidates.push_back(t);
-      }
-    }
-    gains.resize(candidates.size());
-    keeper.GainsIfJoined(w, candidates, gains.data());
-    size_t next = 0;
-    for (const TaskIndex t : instance.ValidTasks(w)) {
-      if (t == current) continue;
-      if (!join_feasible(t)) continue;
-      WorkerIndex crowded = kNoWorker;
-      double utility;
-      if (next < candidates.size() && candidates[next] == t) {
-        utility = gains[next++];  // == GainIfJoined(w, t), bit-identical
-      } else {
-        utility =
-            StrategyUtility(instance, keeper, assignment, w, t, &crowded);
-      }
-      if (counters != nullptr) ++counters->evaluated;
-      if (utility > best.utility + kImprovementTolerance) {
-        best.task = t;
-        best.utility = utility;
-        best.crowded_out = crowded;
-      }
-    }
-  } else {
-    for (const TaskIndex t : instance.ValidTasks(w)) {
-      if (t == current) continue;
-      if (!join_feasible(t)) continue;
-      const int capacity =
-          instance.tasks()[static_cast<size_t>(t)].capacity;
-      if (static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
-        // Screen: an upper bound on the joining gain that cannot beat
-        // the incumbent means the unpruned scan would reject this
-        // candidate here too — skipping is exactly neutral.
-        const double bound = keeper.JoinBound(w, t);
-        if (bound <= best.utility + kImprovementTolerance) {
-          if (counters != nullptr) ++counters->pruned;
-          if (PruneAuditEnabled()) {
-            const double exact = keeper.GainIfJoined(w, t);
-            CASC_CHECK(exact <= bound)
-                << "JoinBound(" << w << ", " << t
-                << ") is not an upper bound: exact=" << exact
-                << " bound=" << bound;
-            CASC_CHECK(exact <= best.utility + kImprovementTolerance)
-                << "pruned candidate task " << t << " beats the incumbent "
-                << "for worker " << w << ": exact=" << exact
-                << " incumbent=" << best.utility;
-          }
-          continue;
+  for (const TaskIndex t : instance.ValidTasks(w)) {
+    if (t == current) continue;
+    if (!join_feasible(t)) continue;
+    const int capacity = instance.tasks()[static_cast<size_t>(t)].capacity;
+    if (do_prune && static_cast<int>(keeper.GroupOf(t).size()) < capacity) {
+      // Screen: an upper bound on the joining gain that cannot beat the
+      // incumbent means the unpruned scan would reject this candidate
+      // here too — skipping is exactly neutral.
+      const double bound = keeper.JoinBound(w, t);
+      if (bound <= best.utility + kImprovementTolerance) {
+        if (counters != nullptr) ++counters->pruned;
+        if (PruneAuditEnabled()) {
+          const double exact = keeper.GainIfJoined(w, t);
+          CASC_CHECK(exact <= bound)
+              << "JoinBound(" << w << ", " << t
+              << ") is not an upper bound: exact=" << exact
+              << " bound=" << bound;
+          CASC_CHECK(exact <= best.utility + kImprovementTolerance)
+              << "pruned candidate task " << t << " beats the incumbent "
+              << "for worker " << w << ": exact=" << exact
+              << " incumbent=" << best.utility;
         }
+        continue;
       }
-      WorkerIndex crowded = kNoWorker;
-      const double utility =
-          StrategyUtility(instance, keeper, assignment, w, t, &crowded);
-      if (counters != nullptr) ++counters->evaluated;
-      if (utility > best.utility + kImprovementTolerance) {
-        best.task = t;
-        best.utility = utility;
-        best.crowded_out = crowded;
-      }
+    }
+    WorkerIndex crowded = kNoWorker;
+    const double utility =
+        StrategyUtility(instance, keeper, assignment, w, t, &crowded);
+    if (counters != nullptr) ++counters->evaluated;
+    if (utility > best.utility + kImprovementTolerance) {
+      best.task = t;
+      best.utility = utility;
+      best.crowded_out = crowded;
     }
   }
   if (0.0 > best.utility + kImprovementTolerance) {

@@ -83,9 +83,7 @@ bool PruningDisabledByEnv();
 /// (a sorted-by-bound scan was rejected: under the tie hysteresis it
 /// can crown a different near-tied winner). With CASC_PRUNE_AUDIT set,
 /// every skipped candidate is evaluated anyway and CHECKed against the
-/// incumbent. With `prune` false, the non-full candidates' gains are
-/// gathered in one batched ScoreKeeper::GainsIfJoined call instead.
-/// `counters` (may be null) receives the scan's work tally.
+/// incumbent. `counters` (may be null) receives the scan's work tally.
 BestResponse ComputeBestResponse(const Instance& instance,
                                  const ScoreKeeper& keeper,
                                  const Assignment& assignment, WorkerIndex w,

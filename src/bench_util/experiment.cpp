@@ -163,11 +163,7 @@ std::vector<ApproachResult> RunComparison(
           << results[a].name << " produced an invalid assignment";
       metrics.score = TotalScore(instance, assignment);
       metrics.assigned_workers = assignment.NumAssigned();
-      for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-        if (assignment.GroupSize(t) >= instance.min_group_size()) {
-          ++metrics.completed_tasks;
-        }
-      }
+      metrics.completed_tasks = CountStartedTasks(instance, assignment);
       metrics.gt_rounds = assigners[a]->stats().rounds;
       results[a].summary.batches.push_back(metrics);
     }

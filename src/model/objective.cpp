@@ -156,4 +156,19 @@ double TotalScore(const Instance& instance, const Assignment& assignment) {
   return total;
 }
 
+bool GroupStarts(const Instance& instance, TaskIndex t,
+                 std::span<const WorkerIndex> group) {
+  return static_cast<int>(group.size()) >= instance.min_group_size() &&
+         GroupScore(instance, t, group) > 0.0;
+}
+
+int CountStartedTasks(const Instance& instance,
+                      const Assignment& assignment) {
+  int started = 0;
+  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+    if (GroupStarts(instance, t, assignment.GroupOf(t))) ++started;
+  }
+  return started;
+}
+
 }  // namespace casc

@@ -56,6 +56,17 @@ double GainOfJoining(const Instance& instance, TaskIndex t,
 /// Equation 3: total cooperation quality revenue of `assignment`.
 double TotalScore(const Instance& instance, const Assignment& assignment);
 
+/// Whether task `t` starts with `group`: at least B members and a
+/// positive GroupScore. A crew that produces no value under the active
+/// objective (e.g. a multiskill group missing a required skill) does not
+/// start; it carries over instead. Under the default objective every
+/// group of >= B scores positive.
+bool GroupStarts(const Instance& instance, TaskIndex t,
+                 std::span<const WorkerIndex> group);
+
+/// Number of tasks `assignment` starts (GroupStarts over every task).
+int CountStartedTasks(const Instance& instance, const Assignment& assignment);
+
 /// Braced-list conveniences (tests and small examples): `GroupScore(i, t,
 /// {0, 1, 2})` — initializer lists do not convert to std::span.
 inline double GroupScore(const Instance& instance, TaskIndex t,

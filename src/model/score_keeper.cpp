@@ -19,7 +19,7 @@ constexpr int64_t kNoTileTicks = int64_t{1} << 33;
 /// scalar form: element j lands in lane j % 4, skipped elements do not
 /// advance j, and the lanes combine as (l0 + l2) + (l1 + l3). Keeping
 /// the tile-less paths on this exact order is what makes attaching a
-/// tile (and switching SIMD backends) bit-neutral.
+/// tile bit-neutral.
 struct LaneAcc {
   double lanes[4] = {0.0, 0.0, 0.0, 0.0};
   int j = 0;
@@ -232,54 +232,6 @@ double ScoreKeeper::GainIfJoined(WorkerIndex w, TaskIndex t) const {
       t, pair_sums_[static_cast<size_t>(t)] + added, others + 1, w,
       kNoWorker);
   return new_score - scores_[static_cast<size_t>(t)];
-}
-
-void ScoreKeeper::GainsIfJoined(WorkerIndex w,
-                                std::span<const TaskIndex> tasks,
-                                double* out) const {
-  const int n = static_cast<int>(tasks.size());
-  if (tile_ == nullptr || n == 0) {
-    for (int i = 0; i < n; ++i) out[i] = GainIfJoined(w, tasks[i]);
-    return;
-  }
-  // One gathered RowSumMany dispatch covers every candidate group that
-  // does not contain w (the common case — a worker is a member of at
-  // most one group); the rest fall back to the skip-aware scalar path.
-  thread_local std::vector<const int*> ptrs;
-  thread_local std::vector<int> lens;
-  thread_local std::vector<int> slots;
-  thread_local std::vector<double> sums;
-  ptrs.clear();
-  lens.clear();
-  slots.clear();
-  for (int i = 0; i < n; ++i) {
-    const std::span<const WorkerIndex> group = GroupOf(tasks[i]);
-    bool contains = false;
-    for (const WorkerIndex m : group) {
-      if (m == w) {
-        contains = true;
-        break;
-      }
-    }
-    if (contains) {
-      out[i] = GainIfJoined(w, tasks[i]);
-      continue;
-    }
-    ptrs.push_back(group.data());
-    lens.push_back(static_cast<int>(group.size()));
-    slots.push_back(i);
-  }
-  sums.resize(ptrs.size());
-  RowSumMany(tile_->PairRow(w), ptrs.data(), lens.data(),
-             static_cast<int>(ptrs.size()), sums.data());
-  for (size_t k = 0; k < slots.size(); ++k) {
-    const int i = slots[k];
-    const TaskIndex t = tasks[static_cast<size_t>(i)];
-    out[i] = GroupScoreFromSum(t, pair_sums_[static_cast<size_t>(t)] +
-                                      sums[k],
-                               lens[k] + 1, w, kNoWorker) -
-             scores_[static_cast<size_t>(t)];
-  }
 }
 
 double ScoreKeeper::JoinBound(WorkerIndex w, TaskIndex t) const {

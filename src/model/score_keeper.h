@@ -41,10 +41,10 @@ class CoopTile;
 ///
 /// Affinity sums are accumulated in the canonical 4-lane order of
 /// src/kernel/affinity_kernels.h whether or not a CoopTile is attached
-/// (AttachTile): the tile routes them through the runtime-dispatched
-/// SIMD kernels over its exact double pair plane, the tile-less path
-/// replicates the same order over CooperationMatrix::Quality — so
-/// attaching a tile changes speed, never a single result bit.
+/// (AttachTile): the tile routes them through the affinity kernels over
+/// its exact double pair plane, the tile-less path replicates the same
+/// order over CooperationMatrix::Quality — so attaching a tile changes
+/// speed, never a single result bit.
 class ScoreKeeper {
  public:
   /// Creates an unbound keeper; Rebind()/Sync() before use (the pooling
@@ -108,13 +108,6 @@ class ScoreKeeper {
   /// allocation. Requires w not in the group and the group below capacity
   /// (over-capacity evaluation is the caller's BestSubset fallback).
   double GainIfJoined(WorkerIndex w, TaskIndex t) const;
-
-  /// Batched GainIfJoined over many candidate tasks of one worker:
-  /// out[i] = GainIfJoined(w, tasks[i]), bit-identical to the one-task
-  /// calls but gathered through one RowSumMany kernel dispatch when a
-  /// tile is attached. Same preconditions per task.
-  void GainsIfJoined(WorkerIndex w, std::span<const TaskIndex> tasks,
-                     double* out) const;
 
   /// O(1) upper bound on GainIfJoined(w, t), derived from the group's
   /// bound-tick accumulator and w's per-pair row maximum (see

@@ -270,11 +270,7 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
   batch.seconds = watch.ElapsedSeconds();
   batch.score = TotalScore(instance, assignment);
   batch.assigned_workers = assignment.NumAssigned();
-  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-    if (assignment.GroupSize(t) >= instance.min_group_size()) {
-      ++batch.completed_tasks;
-    }
-  }
+  batch.completed_tasks = CountStartedTasks(instance, assignment);
 
   batch.index_build_seconds = index_build_seconds;
 
@@ -445,11 +441,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       batch.seconds = solve_seconds;
       batch.score = TotalScore(instance, assignment);
       batch.assigned_workers = assignment.NumAssigned();
-      for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-        if (assignment.GroupSize(t) >= instance.min_group_size()) {
-          ++batch.completed_tasks;
-        }
-      }
+      batch.completed_tasks = CountStartedTasks(instance, assignment);
       batch.ingest_seconds = ingest_seconds;
       batch.index_build_seconds = index_build_seconds;
       batch.ingest_splice_seconds = ingest_stats.splice_seconds;

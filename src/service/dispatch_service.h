@@ -227,7 +227,7 @@ struct DispatchConfig {
   /// Admission budget: at most this many open tasks enter one batch
   /// (earliest deadline first; ties by task id). 0 = unlimited.
   /// Overflow tasks stay queued and carry to the next batch until their
-  /// deadlines expire, mirroring RunStreaming's carry-over.
+  /// deadlines expire, like any other unassigned open task.
   int max_tasks_per_batch = 0;
 
   /// Delta-maintain the spatial index and valid-pair rows across the

@@ -1,25 +1,16 @@
 #include "sim/batch_runner.h"
 
-#include <algorithm>
-#include <limits>
-#include <utility>
-#include <vector>
-
 #include "algo/upper_bound.h"
 #include "common/check.h"
 #include "common/stopwatch.h"
 #include "model/objective.h"
-#include "sim/streaming_plane.h"
 
 namespace casc {
 namespace {
 
-/// Runs the assigner once, fills the per-batch metrics shared by both
-/// modes, and hands the produced assignment back through `out` (so the
-/// streaming mode commits exactly what was measured).
+/// Runs the assigner once and fills the batch's metrics.
 BatchMetrics MeasureBatch(const Instance& instance, Assigner* assigner,
-                          bool compute_upper, int round, double now,
-                          Assignment* out = nullptr) {
+                          bool compute_upper, int round, double now) {
   BatchMetrics metrics;
   metrics.round = round;
   metrics.now = now;
@@ -28,16 +19,12 @@ BatchMetrics MeasureBatch(const Instance& instance, Assigner* assigner,
   metrics.valid_pairs = static_cast<int64_t>(instance.NumValidPairs());
 
   Stopwatch watch;
-  Assignment assignment = assigner->Run(instance);
+  const Assignment assignment = assigner->Run(instance);
   metrics.seconds = watch.ElapsedSeconds();
 
   metrics.score = TotalScore(instance, assignment);
   metrics.assigned_workers = assignment.NumAssigned();
-  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-    if (assignment.GroupSize(t) >= instance.min_group_size()) {
-      ++metrics.completed_tasks;
-    }
-  }
+  metrics.completed_tasks = CountStartedTasks(instance, assignment);
   metrics.gt_rounds = assigner->stats().rounds;
   metrics.solve_moves = assigner->stats().moves;
   metrics.dirty_workers = assigner->stats().dirty_workers;
@@ -50,7 +37,6 @@ BatchMetrics MeasureBatch(const Instance& instance, Assigner* assigner,
   if (compute_upper) {
     metrics.upper_bound = ComputeUpperBound(instance);
   }
-  if (out != nullptr) *out = std::move(assignment);
   return metrics;
 }
 
@@ -75,109 +61,6 @@ RunSummary BatchRunner::RunRounds(InstanceSource* source,
     const Instance instance = source->MakeBatch(round, now);
     summary.batches.push_back(MeasureBatch(
         instance, assigner, config_.compute_upper_bound, round, now));
-  }
-  assigner->set_workspace(nullptr);
-  return summary;
-}
-
-RunSummary BatchRunner::RunStreaming(const EventStream& stream,
-                                     const CooperationMatrix& global_coop,
-                                     Assigner* assigner) const {
-  CASC_CHECK(assigner != nullptr);
-  CASC_CHECK(stream.HasDenseWorkerIds())
-      << "RunStreaming indexes global_coop by worker .id: the stream's "
-         "worker ids must be exactly a permutation of 0..num_workers-1";
-  CASC_CHECK_GE(global_coop.num_workers(),
-                static_cast<int>(stream.num_workers()))
-      << "global_coop is smaller than the stream's worker population";
-
-  // Cross-batch pool state and the delta-maintained valid-pair rows live
-  // in the plane (incremental by default; CASC_NO_INCREMENTAL falls back
-  // to the per-batch rebuild). Scratch pooled across the stream: CSR pair
-  // indexes, assignment slabs and keeper arrays are recycled batch to
-  // batch, so the steady state performs no hot-plane heap allocation.
-  StreamingPlane plane;
-  BatchWorkspace workspace;
-  assigner->set_workspace(&workspace);
-
-  EventStream::Cursor cursor = stream.NewCursor();
-  std::vector<Worker> arrived_workers;
-  std::vector<Task> arrived_tasks;
-  std::vector<Worker> batch_workers;
-  std::vector<Task> batch_tasks;
-
-  RunSummary summary;
-  double now = stream.FirstEventTime();
-  const double end = stream.LastEventTime() + config_.batch_interval;
-  int round = 0;
-  double previous = -std::numeric_limits<double>::infinity();
-
-  while (now < end) {
-    // Algorithm 1, lines 2-3: collect available tasks and workers.
-    Stopwatch ingest_watch;
-    arrived_workers.clear();
-    arrived_tasks.clear();
-    cursor.NextBatch(previous, now + 1e-12, &arrived_workers,
-                     &arrived_tasks);
-    plane.Ingest(now, arrived_workers, arrived_tasks);
-    plane.StageReleases(now);
-    plane.FlushReleases();
-    // Drop expired tasks (no worker can reach them in time any more).
-    plane.Expire(now);
-    const double ingest_seconds = ingest_watch.ElapsedSeconds();
-
-    if (plane.HasWork()) {
-      // Build the batch instance over a zero-copy view of the global
-      // matrix, remapped to the batch-local worker positions.
-      plane.Admit(0);
-      plane.MaterializeWorkers(&batch_workers);
-      plane.MaterializeAdmittedTasks(&batch_tasks);
-      std::vector<int> ids;
-      ids.reserve(batch_workers.size());
-      for (const Worker& worker : batch_workers) {
-        ids.push_back(static_cast<int>(worker.id));
-      }
-      Stopwatch build_watch;
-      Instance instance(batch_workers, batch_tasks, global_coop.View(ids),
-                        now, config_.min_group_size);
-      plane.BuildValidPairs(&instance, &workspace);
-      const double index_build_seconds = build_watch.ElapsedSeconds();
-
-      // Cross-batch warm start: hand the solver the previous
-      // equilibrium's skeleton plus the dirty frontier (null on the cold
-      // path — first batch, zero carry-over, CASC_NO_WARM_START).
-      // Warm-oblivious assigners ignore the attachment entirely.
-      assigner->set_solve_delta(plane.BuildSolveDelta(instance));
-
-      Assignment assignment;
-      BatchMetrics metrics =
-          MeasureBatch(instance, assigner, config_.compute_upper_bound,
-                       round, now, &assignment);
-      assigner->set_solve_delta(nullptr);
-      metrics.ingest_seconds = ingest_seconds;
-      metrics.index_build_seconds = index_build_seconds;
-      metrics.ingest_splice_seconds = plane.ingest_stats().splice_seconds;
-      metrics.ingest_fresh_rows_seconds =
-          plane.ingest_stats().fresh_rows_seconds;
-      metrics.ingest_spatial_seconds =
-          plane.ingest_stats().spatial_insert_seconds;
-      metrics.csr_emit_seconds = plane.emit_stats().csr_emit_seconds;
-      summary.batches.push_back(metrics);
-
-      // Commit: tasks reaching B start now and occupy their workers for
-      // task_duration; everyone else carries over (Algorithm 1's
-      // "available" definition for the next batch).
-      plane.Commit(instance, assignment, now + config_.task_duration);
-
-      // The batch is committed: return its CSR index and slabs for the
-      // next batch to reuse.
-      workspace.Recycle(instance.ReleaseValidPairs());
-      workspace.Recycle(std::move(assignment));
-    }
-
-    previous = now + 1e-12;
-    now += config_.batch_interval;
-    ++round;
   }
   assigner->set_workspace(nullptr);
   return summary;

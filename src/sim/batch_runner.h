@@ -1,12 +1,8 @@
 #ifndef CASC_SIM_BATCH_RUNNER_H_
 #define CASC_SIM_BATCH_RUNNER_H_
 
-#include <functional>
-
 #include "algo/assigner.h"
 #include "gen/workload.h"
-#include "model/cooperation_matrix.h"
-#include "sim/event_stream.h"
 #include "sim/metrics.h"
 
 namespace casc {
@@ -19,27 +15,20 @@ struct BatchRunnerConfig {
   /// Wall-clock time between batches (one time unit per batch).
   double batch_interval = 1.0;
 
-  /// How long a started task occupies its workers in streaming mode;
-  /// workers return to the pool when their task finishes.
-  double task_duration = 1.0;
-
-  /// Minimum group size B in streaming mode.
+  /// Minimum group size B. Not read by round mode: each generated
+  /// instance carries its own B.
   int min_group_size = 3;
 
   /// Also compute the UPPER estimate (Equation 9) per batch.
   bool compute_upper_bound = false;
 };
 
-/// Drives an Assigner through multiple batches.
-///
-/// Two modes mirror the paper:
-/// * RunRounds — the evaluation protocol of Section VI: each round is an
-///   independent batch freshly sampled from an InstanceSource; scores and
-///   times are summed/averaged across R rounds.
-/// * RunStreaming — the full Algorithm 1 dynamic: workers and tasks
-///   arrive over time (an EventStream); unassigned tasks whose deadlines
-///   have not passed and idle workers carry over to the next batch;
-///   workers on started tasks return after task_duration.
+/// Drives an Assigner through the evaluation protocol of Section VI: each
+/// round is an independent batch freshly sampled from an InstanceSource;
+/// scores and times are summed/averaged across R rounds. The streaming
+/// dynamic of Algorithm 1 (arrivals, carry-over, busy workers) is
+/// DispatchService::Run; with shards_per_side = 1 it runs the factory's
+/// assigner unsharded.
 class BatchRunner {
  public:
   explicit BatchRunner(BatchRunnerConfig config);
@@ -47,14 +36,6 @@ class BatchRunner {
   /// Round mode. The assigner is timed on Run() only (instance generation
   /// and UPPER are excluded, matching the paper's "batch running time").
   RunSummary RunRounds(InstanceSource* source, Assigner* assigner) const;
-
-  /// Streaming mode over pre-generated arrivals. `global_coop` is indexed
-  /// by the workers' `.id` fields, which must be exactly a permutation of
-  /// 0..num_workers-1 (EventStream::HasDenseWorkerIds — enforced with a
-  /// CHECK, not just documented).
-  RunSummary RunStreaming(const EventStream& stream,
-                          const CooperationMatrix& global_coop,
-                          Assigner* assigner) const;
 
   const BatchRunnerConfig& config() const { return config_; }
 

@@ -78,8 +78,8 @@ class EventStream {
 
   /// True when the worker `.id` fields are exactly a permutation of
   /// 0..num_workers()-1 — the indexing invariant consumers that look up
-  /// cooperation qualities in a global matrix by `.id` (RunStreaming,
-  /// the dispatch service) rely on. O(num_workers).
+  /// cooperation qualities in a global matrix by `.id` (the dispatch
+  /// service) rely on. O(num_workers).
   bool HasDenseWorkerIds() const;
 
  private:

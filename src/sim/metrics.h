@@ -18,7 +18,7 @@ struct BatchMetrics {
   double upper_bound = 0.0;    ///< UPPER (Equation 9), if requested
   double seconds = 0.0;        ///< assignment wall time (excl. generation)
   int assigned_workers = 0;    ///< workers placed on tasks
-  int completed_tasks = 0;     ///< tasks reaching >= B workers
+  int completed_tasks = 0;     ///< tasks started (CountStartedTasks)
   int gt_rounds = 0;           ///< best-response rounds (GT family)
 
   /// Solver convergence telemetry (GT family; zero for single-pass

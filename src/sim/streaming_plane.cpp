@@ -612,13 +612,9 @@ void StreamingPlane::Commit(const Instance& instance,
   instance_index_of_slot_.assign(static_cast<size_t>(num_tasks), 0);
   std::vector<int32_t>& task_started = instance_index_of_slot_;
   for (TaskIndex t = 0; t < num_tasks; ++t) {
-    if (assignment.GroupSize(t) < instance.min_group_size()) continue;
-    // A crew that produces no value under the active objective (e.g. a
-    // multiskill group that misses a required skill) must not start: it
-    // would burn its workers' time on a worthless execution. Under the
-    // default objective any group of >= B scores positive, so this gate
-    // only bites for variant objectives with feasibility predicates.
-    if (GroupScore(instance, t, assignment.GroupOf(t)) <= 0.0) continue;
+    // A zero-value crew must not start: it would burn its workers' time
+    // on a worthless execution (see GroupStarts).
+    if (!GroupStarts(instance, t, assignment.GroupOf(t))) continue;
     task_started[static_cast<size_t>(t)] = 1;
     for (const WorkerIndex w : assignment.GroupOf(t)) {
       worker_started[static_cast<size_t>(w)] = 1;

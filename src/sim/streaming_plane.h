@@ -145,8 +145,8 @@ struct StreamingEmitStats {
 /// spells (rows of busy workers keep being spliced, so a returning worker
 /// needs no rebuild).
 ///
-/// One batch cycle, in order (matching the sequential loops of
-/// BatchRunner::RunStreaming and DispatchService::Run):
+/// One batch cycle, in order (matching DispatchService::Run's sequential
+/// loop):
 ///
 ///   Ingest(now, arrivals)        // appends workers, then tasks
 ///   StageReleases(now); FlushReleases();

@@ -3,13 +3,13 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "kernel/affinity_kernels.h"
 #include "kernel/coop_tile.h"
-#include "kernel/kernel_dispatch.h"
 #include "model/batch_workspace.h"
 #include "model/cooperation_matrix.h"
 #include "model/score_keeper.h"
@@ -17,21 +17,19 @@
 namespace casc {
 namespace {
 
-constexpr KernelBackend kAllBackends[] = {
-    KernelBackend::kScalar, KernelBackend::kSse2, KernelBackend::kAvx2};
+/// Independent reference of the kernels' canonical reduction order:
+/// value j goes to lane j % 4, lanes combine as (l0 + l2) + (l1 + l3).
+double CanonicalLaneSum(const std::vector<double>& values) {
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for (size_t j = 0; j < values.size(); ++j) lanes[j % 4] += values[j];
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+}
 
-/// Runs `fn` once per available backend with that backend active, then
-/// restores the entry backend. The differential contract under test:
-/// every backend returns the same bits.
-template <typename Fn>
-void ForEachAvailableBackend(Fn&& fn) {
-  const KernelBackend entry = ActiveKernelBackend();
-  for (const KernelBackend backend : kAllBackends) {
-    if (!KernelBackendAvailable(backend)) continue;
-    SetKernelBackend(backend);
-    fn(backend);
-  }
-  SetKernelBackend(entry);
+/// Values spread over ~20 binary orders of magnitude, so sums in
+/// different orders round differently and the lane order is observable.
+double WideValue(Rng& rng) {
+  return std::ldexp(rng.Uniform(),
+                    -static_cast<int>(rng.UniformInt(uint64_t{20})));
 }
 
 CooperationMatrix RandomDenseMatrix(int m, uint64_t seed) {
@@ -78,124 +76,82 @@ Assignment GreedyAssignment(const Instance& instance) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch plumbing
+// Raw kernels: the exact bits of the canonical lane order, tails included.
 // ---------------------------------------------------------------------------
 
-TEST(KernelDispatchTest, ScalarAlwaysAvailable) {
-  EXPECT_TRUE(KernelBackendAvailable(KernelBackend::kScalar));
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kSse2), "sse2");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
-}
-
-TEST(KernelDispatchTest, SetBackendSticks) {
-  const KernelBackend entry = ActiveKernelBackend();
-  EXPECT_TRUE(KernelBackendAvailable(entry));
-  SetKernelBackend(KernelBackend::kScalar);
-  EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
-  SetKernelBackend(entry);
-  EXPECT_EQ(ActiveKernelBackend(), entry);
-}
-
-// ---------------------------------------------------------------------------
-// Raw kernels: every backend returns the scalar backend's exact bits.
-// ---------------------------------------------------------------------------
-
-TEST(AffinityKernelsTest, RowSumBitIdenticalAcrossBackends) {
+TEST(AffinityKernelsTest, RowSumMatchesCanonicalLaneOrder) {
   Rng rng(11);
   std::vector<double> row(64);
-  for (double& v : row) v = rng.Uniform();
+  for (double& v : row) v = WideValue(rng);
+  bool order_observable = false;
   for (int count = 0; count <= 33; ++count) {
     std::vector<int> idx;
+    std::vector<double> values;
+    double sequential = 0.0;
     for (int j = 0; j < count; ++j) {
       idx.push_back(static_cast<int>(
           rng.UniformInt(static_cast<uint64_t>(row.size()))));
+      values.push_back(row[static_cast<size_t>(idx.back())]);
+      sequential += values.back();
     }
-    SetKernelBackend(KernelBackend::kScalar);
-    const double reference = RowSumKernel(row.data(), idx.data(), count);
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      const double got = RowSumKernel(row.data(), idx.data(), count);
-      EXPECT_EQ(got, reference)
-          << "count=" << count << " backend=" << KernelBackendName(backend);
-    });
+    const double reference = CanonicalLaneSum(values);
+    EXPECT_EQ(RowSumKernel(row.data(), idx.data(), count), reference)
+        << "count=" << count;
+    order_observable = order_observable || sequential != reference;
   }
+  // A kernel that summed sequentially would fail above.
+  EXPECT_TRUE(order_observable);
 }
 
-TEST(AffinityKernelsTest, PairSumBitIdenticalAcrossBackends) {
+TEST(AffinityKernelsTest, PairSumMatchesCanonicalLaneOrder) {
   Rng rng(12);
-  constexpr int kWorkers = 24;
-  constexpr int64_t kStride = 24;
+  constexpr int kWorkers = 40;
+  constexpr int64_t kStride = 40;
   std::vector<double> tile(kWorkers * kStride, 0.0);
   for (int i = 0; i < kWorkers; ++i) {
     for (int k = 0; k < kWorkers; ++k) {
-      if (i != k) tile[i * kStride + k] = rng.Uniform();
+      if (i != k) tile[i * kStride + k] = WideValue(rng);
     }
   }
-  for (int count = 0; count <= 12; ++count) {
-    std::vector<int> idx;
-    for (int j = 0; j < count; ++j) {
-      idx.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(kWorkers))));
+  std::vector<int> ids(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) ids[static_cast<size_t>(i)] = i;
+  for (int count = 0; count <= 33; ++count) {
+    // Distinct ids (PairSumKernel's precondition): a shuffled prefix.
+    for (int i = kWorkers - 1; i > 0; --i) {
+      std::swap(ids[static_cast<size_t>(i)],
+                ids[rng.UniformInt(static_cast<uint64_t>(i + 1))]);
     }
-    SetKernelBackend(KernelBackend::kScalar);
-    const double reference =
-        PairSumKernel(tile.data(), kStride, idx.data(), count);
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      const double got =
-          PairSumKernel(tile.data(), kStride, idx.data(), count);
-      EXPECT_EQ(got, reference)
-          << "count=" << count << " backend=" << KernelBackendName(backend);
-    });
+    double reference = 0.0;
+    for (int a = 0; a + 1 < count; ++a) {
+      std::vector<double> suffix;
+      for (int b = a + 1; b < count; ++b) {
+        suffix.push_back(tile[ids[static_cast<size_t>(a)] * kStride +
+                              ids[static_cast<size_t>(b)]]);
+      }
+      reference += CanonicalLaneSum(suffix);
+    }
+    EXPECT_EQ(PairSumKernel(tile.data(), kStride, ids.data(), count),
+              reference)
+        << "count=" << count;
   }
 }
 
-TEST(AffinityKernelsTest, RowSumManyMatchesSingleCalls) {
-  Rng rng(13);
-  std::vector<double> row(48);
-  for (double& v : row) v = rng.Uniform();
-  std::vector<std::vector<int>> groups;
-  for (int g = 0; g < 9; ++g) {
-    std::vector<int> group;
-    for (int j = 0; j < g; ++j) {
-      group.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(row.size()))));
-    }
-    groups.push_back(std::move(group));
-  }
-  std::vector<const int*> ptrs;
-  std::vector<int> lens;
-  for (const auto& group : groups) {
-    ptrs.push_back(group.data());
-    lens.push_back(static_cast<int>(group.size()));
-  }
-  ForEachAvailableBackend([&](KernelBackend backend) {
-    std::vector<double> out(groups.size(), -1.0);
-    RowSumMany(row.data(), ptrs.data(), lens.data(),
-               static_cast<int>(groups.size()), out.data());
-    for (size_t g = 0; g < groups.size(); ++g) {
-      EXPECT_EQ(out[g], RowSumKernel(row.data(), ptrs[g], lens[g]))
-          << "group=" << g << " backend=" << KernelBackendName(backend);
-    }
-  });
-}
-
-TEST(AffinityKernelsTest, RowSumFloatUpBitIdenticalAcrossBackends) {
+TEST(AffinityKernelsTest, RowSumFloatUpMatchesCanonicalLaneOrder) {
   Rng rng(14);
   std::vector<float> row(64);
-  for (float& v : row) v = FloatUp(rng.Uniform());
-  for (int count = 0; count <= 21; ++count) {
+  for (float& v : row) v = FloatUp(WideValue(rng));
+  for (int count = 0; count <= 33; ++count) {
     std::vector<int> idx;
+    std::vector<double> values;
     for (int j = 0; j < count; ++j) {
       idx.push_back(static_cast<int>(
           rng.UniformInt(static_cast<uint64_t>(row.size()))));
+      values.push_back(
+          static_cast<double>(row[static_cast<size_t>(idx.back())]));
     }
-    SetKernelBackend(KernelBackend::kScalar);
-    const double reference = RowSumFloatUp(row.data(), idx.data(), count);
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      const double got = RowSumFloatUp(row.data(), idx.data(), count);
-      EXPECT_EQ(got, reference)
-          << "count=" << count << " backend=" << KernelBackendName(backend);
-    });
+    EXPECT_EQ(RowSumFloatUp(row.data(), idx.data(), count),
+              CanonicalLaneSum(values))
+        << "count=" << count;
   }
 }
 
@@ -283,7 +239,7 @@ TEST(CoopTileTest, IdentityHashTracksMutation) {
 }
 
 // ---------------------------------------------------------------------------
-// ScoreKeeper: tile path == matrix path, bit for bit, on every backend.
+// ScoreKeeper: tile path == matrix path, bit for bit.
 // ---------------------------------------------------------------------------
 
 TEST(ScoreKeeperTileTest, TileParityOnRandomInstances) {
@@ -295,42 +251,29 @@ TEST(ScoreKeeperTileTest, TileParityOnRandomInstances) {
     CoopTile tile;
     ASSERT_TRUE(tile.BuildFrom(instance.coop(), 2048));
 
-    ForEachAvailableBackend([&](KernelBackend backend) {
-      ScoreKeeper tiled(instance);
-      tiled.AttachTile(&tile);
-      tiled.Sync(assignment);
-      EXPECT_EQ(tiled.TotalScore(), plain.TotalScore())
-          << KernelBackendName(backend);
-      for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
-        EXPECT_EQ(tiled.TaskScore(t), plain.TaskScore(t));
-        EXPECT_EQ(tiled.TaskPairSum(t), plain.TaskPairSum(t));
+    ScoreKeeper tiled(instance);
+    tiled.AttachTile(&tile);
+    tiled.Sync(assignment);
+    EXPECT_EQ(tiled.TotalScore(), plain.TotalScore());
+    for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+      EXPECT_EQ(tiled.TaskScore(t), plain.TaskScore(t));
+      EXPECT_EQ(tiled.TaskPairSum(t), plain.TaskPairSum(t));
+    }
+    for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+      for (const TaskIndex t : instance.ValidTasks(w)) {
+        const int capacity =
+            instance.tasks()[static_cast<size_t>(t)].capacity;
+        if (assignment.TaskOf(w) == t) continue;
+        if (assignment.GroupSize(t) >= capacity) continue;
+        EXPECT_EQ(tiled.GainIfJoined(w, t), plain.GainIfJoined(w, t))
+            << "w=" << w << " t=" << t;
       }
-      for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
-        std::vector<TaskIndex> candidates;
-        for (const TaskIndex t : instance.ValidTasks(w)) {
-          const int capacity =
-              instance.tasks()[static_cast<size_t>(t)].capacity;
-          if (assignment.TaskOf(w) == t) continue;
-          if (assignment.GroupSize(t) >= capacity) continue;
-          candidates.push_back(t);
-          EXPECT_EQ(tiled.GainIfJoined(w, t), plain.GainIfJoined(w, t))
-              << "w=" << w << " t=" << t << " "
-              << KernelBackendName(backend);
-        }
-        if (!candidates.empty()) {
-          std::vector<double> batched(candidates.size(), -1.0);
-          tiled.GainsIfJoined(w, candidates, batched.data());
-          for (size_t i = 0; i < candidates.size(); ++i) {
-            EXPECT_EQ(batched[i], plain.GainIfJoined(w, candidates[i]));
-          }
-        }
-        const TaskIndex current = assignment.TaskOf(w);
-        if (current != kNoTask) {
-          EXPECT_EQ(tiled.LossIfLeft(w, current),
-                    plain.LossIfLeft(w, current));
-        }
+      const TaskIndex current = assignment.TaskOf(w);
+      if (current != kNoTask) {
+        EXPECT_EQ(tiled.LossIfLeft(w, current),
+                  plain.LossIfLeft(w, current));
       }
-    });
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <optional>
@@ -10,9 +11,9 @@
 #include "algo/gt_assigner.h"
 #include "common/rng.h"
 #include "gen/synthetic.h"
+#include "gen/trace.h"
 #include "model/objective.h"
 #include "service/dispatch_service.h"
-#include "sim/batch_runner.h"
 #include "sim/event_stream.h"
 
 namespace casc {
@@ -331,37 +332,6 @@ struct ServiceFixture {
   }
 };
 
-TEST(DispatchServiceTest, StreamingAtS1MatchesBatchRunner) {
-  // With one shard and no admission budget the service's streaming loop
-  // must reproduce BatchRunner::RunStreaming exactly, batch by batch.
-  const ServiceFixture fixture(50, 16, 4.0, 101);
-  const EventStream stream(fixture.workers, fixture.tasks);
-
-  GtAssigner monolithic;
-  BatchRunnerConfig runner_config;
-  runner_config.min_group_size = 3;
-  const BatchRunner runner(runner_config);
-  const RunSummary expected =
-      runner.RunStreaming(stream, fixture.coop, &monolithic);
-
-  DispatchConfig config;
-  config.sharded = MakeOptions(1, 2);
-  config.min_group_size = 3;
-  DispatchService service(config, &fixture.coop, GtFactory());
-  const RunSummary actual = service.Run(stream);
-
-  ASSERT_EQ(actual.batches.size(), expected.batches.size());
-  for (size_t i = 0; i < expected.batches.size(); ++i) {
-    EXPECT_EQ(actual.batches[i].round, expected.batches[i].round);
-    EXPECT_DOUBLE_EQ(actual.batches[i].score, expected.batches[i].score);
-    EXPECT_EQ(actual.batches[i].assigned_workers,
-              expected.batches[i].assigned_workers);
-    EXPECT_EQ(actual.batches[i].completed_tasks,
-              expected.batches[i].completed_tasks);
-  }
-  EXPECT_EQ(service.batch_metrics().size(), actual.batches.size());
-}
-
 TEST(DispatchServiceTest, StreamingCarriesAdmissionOverflow) {
   const ServiceFixture fixture(40, 20, 3.0, 55);
   const EventStream stream(fixture.workers, fixture.tasks);
@@ -383,6 +353,83 @@ TEST(DispatchServiceTest, StreamingCarriesAdmissionOverflow) {
   // The budget defers work but the queue keeps it alive: something still
   // completes over the run.
   EXPECT_GT(summary.TotalCompletedTasks(), 0);
+}
+
+/// GtAssigner wrapper that tallies, per solved batch, the groups of at
+/// least B members — what BatchMetrics::completed_tasks used to count.
+class GroupTallyAssigner : public Assigner {
+ public:
+  explicit GroupTallyAssigner(int64_t* groups_at_b) : tally_(groups_at_b) {}
+
+  std::string Name() const override { return inner_.Name(); }
+
+  Assignment Run(const Instance& instance) override {
+    inner_.set_workspace(workspace());
+    inner_.set_solve_delta(solve_delta());
+    Assignment result = inner_.Run(instance);
+    inner_.set_solve_delta(nullptr);
+    inner_.set_workspace(nullptr);
+    stats_ = inner_.stats();
+    for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+      if (result.GroupSize(t) >= instance.min_group_size()) ++*tally_;
+    }
+    return result;
+  }
+
+ private:
+  GtAssigner inner_;
+  int64_t* tally_;
+};
+
+TEST(DispatchServiceTest, CompletedTasksCountsOnlyStartedTasks) {
+  // Multiskill carry-over stream: tasks demand 3 of 8 skills and workers
+  // hold 2, so some groups of >= B miss a skill, score 0, do not start
+  // and stand in the queue for later batches.
+  Rng rng(31);
+  TraceConfig trace_config;
+  trace_config.horizon = 30.0;
+  trace_config.worker_rate = 30.0;
+  trace_config.task_rate = 8.0;
+  trace_config.worker.radius_min = 0.15;
+  trace_config.worker.radius_max = 0.30;
+  trace_config.worker.speed_min = 0.05;
+  trace_config.worker.speed_max = 0.10;
+  trace_config.worker.num_skills = 8;
+  trace_config.worker.skills_per_worker = 2;
+  trace_config.task.num_skills = 8;
+  trace_config.task.skills_per_task = 3;
+  trace_config.task.remaining_time = 10.0;
+  trace_config.task.capacity = 4;
+  const Trace trace = GenerateTrace(trace_config, &rng);
+  const CooperationMatrix coop = CooperationMatrix::Procedural(
+      static_cast<int>(trace.workers.size()), 32);
+  const EventStream stream(trace.workers, trace.tasks);
+
+  DispatchConfig config;
+  config.sharded = MakeOptions(1, 1);
+  config.min_group_size = 3;
+  config.objective = "multiskill";
+  int64_t groups_at_b = 0;
+  DispatchService service(config, &coop, [&groups_at_b] {
+    return std::make_unique<GroupTallyAssigner>(&groups_at_b);
+  });
+  const RunSummary summary = service.Run(stream);
+  ASSERT_EQ(service.batch_metrics().size(), summary.batches.size());
+
+  for (size_t i = 0; i < summary.batches.size(); ++i) {
+    // Commit keeps every admitted task it did not start, plus the
+    // deferred overflow, as the queue: the difference is what it started.
+    const ServiceMetrics& metrics = service.batch_metrics()[i];
+    EXPECT_EQ(summary.batches[i].completed_tasks,
+              metrics.admitted_tasks + metrics.deferred_tasks -
+                  metrics.queue_depth)
+        << "batch " << i;
+  }
+  EXPECT_GT(summary.TotalCompletedTasks(), 0);
+  EXPECT_LE(summary.TotalCompletedTasks(),
+            static_cast<int64_t>(trace.tasks.size()));
+  // The stream does exercise the carry-over of unstarted >= B groups.
+  EXPECT_GT(groups_at_b, summary.TotalCompletedTasks());
 }
 
 TEST(ShardedAssignerTest, ShardResultArrivalOrderDoesNotMatter) {
@@ -489,15 +536,15 @@ TEST(DispatchServiceDeathTest, StreamingRejectsNonDenseWorkerIds) {
   EXPECT_DEATH({ (void)service.Run(stream); }, "permutation");
 }
 
-TEST(BatchRunnerDeathTest, StreamingRejectsNonDenseWorkerIds) {
+TEST(DispatchServiceDeathTest, StreamingRejectsDuplicateWorkerIds) {
   std::vector<Worker> workers = {Worker{1, {0.5, 0.5}, 1.0, 1.0, 0.0},
                                  Worker{1, {0.5, 0.5}, 1.0, 1.0, 0.0}};
   const EventStream stream(std::move(workers), {});
   const CooperationMatrix coop(2, 0.5);
-  GtAssigner gt;
-  const BatchRunner runner(BatchRunnerConfig{});
-  EXPECT_DEATH({ (void)runner.RunStreaming(stream, coop, &gt); },
-               "permutation");
+  DispatchConfig config;
+  config.sharded = MakeOptions(1, 1);
+  DispatchService service(config, &coop, GtFactory());
+  EXPECT_DEATH({ (void)service.Run(stream); }, "permutation");
 }
 
 }  // namespace

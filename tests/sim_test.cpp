@@ -12,6 +12,7 @@
 #include "sim/event_stream.h"
 #include "sim/metrics.h"
 #include "sim/rating_model.h"
+#include "unsharded_stream.h"
 
 namespace casc {
 namespace {
@@ -211,7 +212,7 @@ TEST(BatchRunnerTest, UpperBoundComputedOnRequest) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchRunner: streaming mode (Algorithm 1)
+// Streaming mode (Algorithm 1), one unsharded solver per batch
 // ---------------------------------------------------------------------------
 
 /// Builds a streaming scenario: `m` workers arriving across [0, horizon),
@@ -226,7 +227,7 @@ struct StreamingFixture {
     Rng rng(seed);
     for (int i = 0; i < m; ++i) {
       Worker worker;
-      worker.id = i;  // global index, required by RunStreaming
+      worker.id = i;  // global index, required by the streaming loop
       worker.location = {rng.Uniform(), rng.Uniform()};
       worker.speed = 0.2;
       worker.radius = 0.5;
@@ -250,15 +251,11 @@ struct StreamingFixture {
   }
 };
 
-TEST(BatchRunnerTest, StreamingProcessesArrivals) {
+TEST(StreamingTest, ProcessesArrivals) {
   const StreamingFixture fixture(60, 20, 5.0, 77);
   const EventStream stream(fixture.workers, fixture.tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  const BatchRunner runner(config);
   const RunSummary summary =
-      runner.RunStreaming(stream, fixture.coop, &tpg);
+      RunStream(stream, fixture.coop, FactoryOf<TpgAssigner>());
   EXPECT_GT(summary.batches.size(), 0u);
   EXPECT_GT(summary.TotalScore(), 0.0);
   // A worker can serve at most one task per batch; totals stay bounded.
@@ -266,7 +263,7 @@ TEST(BatchRunnerTest, StreamingProcessesArrivals) {
             static_cast<int64_t>(summary.batches.size()) * 60);
 }
 
-TEST(BatchRunnerTest, StreamingRespectsDeadlinesAcrossBatches) {
+TEST(StreamingTest, RespectsDeadlinesAcrossBatches) {
   // One task with a deadline before the second batch: it must never be
   // assigned after expiring.
   std::vector<Worker> workers = {Worker{0, {0.5, 0.5}, 0.001, 1.0, 0.0},
@@ -277,11 +274,8 @@ TEST(BatchRunnerTest, StreamingRespectsDeadlinesAcrossBatches) {
                              Task{1, {0.9, 0.9}, 0.0, 10.0, 3}};
   CooperationMatrix coop(3, 0.8);
   const EventStream stream(workers, tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary =
+      RunStream(stream, coop, FactoryOf<TpgAssigner>());
   // Task 0 (deadline 0.5) is assignable only in the first batch (t=0).
   for (const auto& batch : summary.batches) {
     if (batch.now > 0.5) {
@@ -290,7 +284,7 @@ TEST(BatchRunnerTest, StreamingRespectsDeadlinesAcrossBatches) {
   }
 }
 
-TEST(BatchRunnerTest, StreamingWorkersReturnAfterTaskDuration) {
+TEST(StreamingTest, WorkersReturnAfterTaskDuration) {
   // 3 workers, 2 identical tasks appearing at t=0 and t=2. With task
   // duration 1 and batch interval 1, the same workers can serve both.
   std::vector<Worker> workers = {Worker{0, {0.5, 0.5}, 1.0, 1.0, 0.0},
@@ -300,12 +294,10 @@ TEST(BatchRunnerTest, StreamingWorkersReturnAfterTaskDuration) {
                              Task{1, {0.5, 0.5}, 2.0, 12.0, 3}};
   CooperationMatrix coop(3, 0.9);
   const EventStream stream(workers, tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 1.0;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary =
+      RunStream(stream, coop, FactoryOf<TpgAssigner>(),
+                UnshardedConfig(/*min_group_size=*/3,
+                                /*task_duration=*/1.0));
   EXPECT_EQ(summary.TotalCompletedTasks(), 2);
 }
 
@@ -395,12 +387,11 @@ TEST(LearningLoopTest, BelievedQualitiesStartAtOmega) {
   }
 }
 
-TEST(BatchRunnerTest, StreamingEmptyStream) {
+TEST(StreamingTest, EmptyStream) {
   const EventStream stream({}, {});
-  TpgAssigner tpg;
-  const BatchRunner runner(BatchRunnerConfig{});
+  const CooperationMatrix coop(0);
   const RunSummary summary =
-      runner.RunStreaming(stream, CooperationMatrix(0), &tpg);
+      RunStream(stream, coop, FactoryOf<TpgAssigner>());
   EXPECT_DOUBLE_EQ(summary.TotalScore(), 0.0);
 }
 

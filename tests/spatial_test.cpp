@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "spatial/grid_index.h"
-#include "spatial/kd_tree.h"
 #include "spatial/linear_scan.h"
 #include "spatial/rtree.h"
 
@@ -151,20 +150,16 @@ TEST_P(SpatialEquivalenceTest, AllIndexesAgree) {
   reference.Build(items);
   GridIndex grid(16);
   RTree rtree(8, 3);
-  KdTree kdtree;
   if (param.bulk_load) {
     grid.Build(items);
     rtree.Build(items);
-    kdtree.Build(items);
   } else {
     for (const auto& item : items) {
       grid.Insert(item);
       rtree.Insert(item);
-      kdtree.Insert(item);
     }
   }
   rtree.CheckInvariants();
-  kdtree.CheckInvariants();
 
   Rng rng(param.seed ^ 0xABCD);
   for (int q = 0; q < 50; ++q) {
@@ -173,7 +168,6 @@ TEST_P(SpatialEquivalenceTest, AllIndexesAgree) {
     const auto expected_circle = reference.CircleQuery(center, radius);
     EXPECT_EQ(grid.CircleQuery(center, radius), expected_circle);
     EXPECT_EQ(rtree.CircleQuery(center, radius), expected_circle);
-    EXPECT_EQ(kdtree.CircleQuery(center, radius), expected_circle);
 
     const double x1 = rng.Uniform(), x2 = rng.Uniform();
     const double y1 = rng.Uniform(), y2 = rng.Uniform();
@@ -182,7 +176,6 @@ TEST_P(SpatialEquivalenceTest, AllIndexesAgree) {
     const auto expected_range = reference.RangeQuery(rect);
     EXPECT_EQ(grid.RangeQuery(rect), expected_range);
     EXPECT_EQ(rtree.RangeQuery(rect), expected_range);
-    EXPECT_EQ(kdtree.RangeQuery(rect), expected_range);
   }
 }
 
@@ -195,8 +188,6 @@ TEST_P(SpatialEquivalenceTest, KnnDistancesAgree) {
   grid.Build(items);
   RTree rtree;
   rtree.Build(items);
-  KdTree kdtree;
-  kdtree.Build(items);
 
   auto distance_of = [&](int64_t id, const Point& center) {
     return SquaredDistance(items[static_cast<size_t>(id)].location, center);
@@ -209,17 +200,13 @@ TEST_P(SpatialEquivalenceTest, KnnDistancesAgree) {
       const auto expected = reference.Knn(center, k);
       const auto from_grid = grid.Knn(center, k);
       const auto from_rtree = rtree.Knn(center, k);
-      const auto from_kdtree = kdtree.Knn(center, k);
       ASSERT_EQ(from_grid.size(), expected.size());
       ASSERT_EQ(from_rtree.size(), expected.size());
-      ASSERT_EQ(from_kdtree.size(), expected.size());
       // Ties make id sequences ambiguous; distances must match exactly.
       for (size_t i = 0; i < expected.size(); ++i) {
         EXPECT_DOUBLE_EQ(distance_of(from_grid[i], center),
                          distance_of(expected[i], center));
         EXPECT_DOUBLE_EQ(distance_of(from_rtree[i], center),
-                         distance_of(expected[i], center));
-        EXPECT_DOUBLE_EQ(distance_of(from_kdtree[i], center),
                          distance_of(expected[i], center));
       }
     }
@@ -265,14 +252,6 @@ TEST(RemoveTest, RemoveMissingReturnsFalse) {
   EXPECT_EQ(scan.Size(), 0u);
   EXPECT_EQ(grid.Size(), 0u);
   EXPECT_EQ(rtree.Size(), 0u);
-}
-
-TEST(RemoveTest, KdTreeDoesNotSupportRemove) {
-  KdTree tree;
-  const SpatialItem item{1, {0.5, 0.5}};
-  tree.Insert(item);
-  EXPECT_FALSE(tree.Remove(item));
-  EXPECT_EQ(tree.Size(), 1u);
 }
 
 // Interleaves inserts and removals on every mutation-capable index and
@@ -365,61 +344,6 @@ TEST(RemoveTest, RTreeDrainToEmptyAndRefill) {
   for (const auto& item : items) tree.Insert(item);
   tree.CheckInvariants();
   EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 50u);
-}
-
-// ---------------------------------------------------------------------------
-// KdTree specifics
-// ---------------------------------------------------------------------------
-
-TEST(KdTreeTest, EmptyTree) {
-  KdTree tree;
-  EXPECT_EQ(tree.Size(), 0u);
-  EXPECT_EQ(tree.Depth(), 0);
-  EXPECT_TRUE(tree.RangeQuery({0, 0, 1, 1}).empty());
-  EXPECT_TRUE(tree.Knn({0.5, 0.5}, 3).empty());
-  tree.CheckInvariants();
-}
-
-TEST(KdTreeTest, BuildIsBalanced) {
-  KdTree tree;
-  tree.Build(RandomItems(1023, 31));
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.Size(), 1023u);
-  // A perfectly balanced tree over 1023 nodes has depth 10.
-  EXPECT_LE(tree.Depth(), 10);
-}
-
-TEST(KdTreeTest, SequentialInsertDegradesButStaysCorrect) {
-  KdTree tree;
-  // Sorted input is the worst case for insert-only kd-trees.
-  for (int i = 0; i < 128; ++i) {
-    tree.Insert({i, {i / 128.0, i / 128.0}});
-  }
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.Depth(), 128);  // degenerate chain, still correct
-  EXPECT_EQ(tree.RangeQuery({0, 0, 1, 1}).size(), 128u);
-}
-
-TEST(KdTreeTest, DuplicateCoordinates) {
-  KdTree tree;
-  std::vector<SpatialItem> items;
-  for (int i = 0; i < 25; ++i) items.push_back({i, {0.5, 0.5}});
-  tree.Build(items);
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.CircleQuery({0.5, 0.5}, 0.0).size(), 25u);
-  EXPECT_EQ(tree.RangeQuery({0.5, 0.5, 0.5, 0.5}).size(), 25u);
-  EXPECT_EQ(tree.Knn({0.1, 0.1}, 5).size(), 5u);
-}
-
-TEST(KdTreeTest, DuplicateXCoordinateColumn) {
-  // All points share x = 0.5: every x-split degenerates; queries on the
-  // column boundary must still find everything.
-  KdTree tree;
-  std::vector<SpatialItem> items;
-  for (int i = 0; i < 40; ++i) items.push_back({i, {0.5, i / 40.0}});
-  tree.Build(items);
-  tree.CheckInvariants();
-  EXPECT_EQ(tree.RangeQuery({0.5, 0.0, 0.5, 1.0}).size(), 40u);
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@
 #include "gen/trace.h"
 #include "model/cooperation_matrix.h"
 #include "service/dispatch_service.h"
-#include "sim/batch_runner.h"
 #include "sim/event_stream.h"
+#include "unsharded_stream.h"
 
 namespace casc {
 namespace {
@@ -197,24 +197,22 @@ TEST(EventStreamTest, FirstAndLastEventTimeCoverTaskOnlyIntervals) {
 }
 
 // ---------------------------------------------------------------------------
-// BatchRunner::RunStreaming: incremental vs. scratch (200+ batches)
+// Unsharded TPG stream: incremental vs. scratch (200+ batches)
 // ---------------------------------------------------------------------------
 
-TEST(StreamingIncrementalTest, RunStreamingIdenticalAcrossIncrementalOnOff) {
+TEST(StreamingIncrementalTest, UnshardedRunIdenticalAcrossIncrementalOnOff) {
   const StreamFixture fixture = MakeLongFixture(601);
   ASSERT_FALSE(fixture.trace.workers.empty());
   ASSERT_FALSE(fixture.trace.tasks.empty());
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 2.0;
-  const BatchRunner runner(config);
+  const DispatchConfig config =
+      UnshardedConfig(/*min_group_size=*/3, /*task_duration=*/2.0);
 
   RunSummary scratch;
   {
     ScopedEnv off("CASC_NO_INCREMENTAL", "1");
-    TpgAssigner tpg;
-    scratch = runner.RunStreaming(stream, fixture.coop, &tpg);
+    scratch =
+        RunStream(stream, fixture.coop, FactoryOf<TpgAssigner>(), config);
   }
   ASSERT_GE(scratch.batches.size(), 200u) << "trace too short for the test";
 
@@ -224,8 +222,8 @@ TEST(StreamingIncrementalTest, RunStreamingIdenticalAcrossIncrementalOnOff) {
     // The audit mode additionally CHECKs every incrementally-built CSR
     // index byte-for-byte against a from-scratch build inside the run.
     ScopedEnv audit("CASC_STREAM_AUDIT", "1");
-    TpgAssigner tpg;
-    incremental = runner.RunStreaming(stream, fixture.coop, &tpg);
+    incremental =
+        RunStream(stream, fixture.coop, FactoryOf<TpgAssigner>(), config);
   }
   ExpectIdenticalBatches(scratch, incremental, "incremental-vs-scratch");
   EXPECT_GT(incremental.TotalScore(), 0.0);

@@ -12,7 +12,7 @@
 #include "common/rng.h"
 #include "gen/synthetic.h"
 #include "gen/trace.h"
-#include "sim/batch_runner.h"
+#include "unsharded_stream.h"
 
 namespace casc {
 namespace {
@@ -67,12 +67,9 @@ TEST_P(StreamingPropertyTest, ConservationAndDiscipline) {
       MakeCoop(static_cast<int>(trace.workers.size()), param.seed ^ 0xC0);
   const EventStream stream(trace.workers, trace.tasks);
 
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = param.min_group;
-  config.task_duration = param.task_duration;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary =
+      RunStream(stream, coop, FactoryOf<TpgAssigner>(),
+                UnshardedConfig(param.min_group, param.task_duration));
 
   int64_t total_started_tasks = 0;
   for (const auto& batch : summary.batches) {
@@ -107,12 +104,9 @@ TEST_P(StreamingPropertyTest, BusyWorkersNeverDoubleBook) {
   const CooperationMatrix coop =
       MakeCoop(static_cast<int>(trace.workers.size()), param.seed ^ 0xC1);
   const EventStream stream(trace.workers, trace.tasks);
-  TpgAssigner tpg;
-  BatchRunnerConfig config;
-  config.min_group_size = param.min_group;
-  config.task_duration = param.task_duration;
-  const BatchRunner runner(config);
-  const RunSummary summary = runner.RunStreaming(stream, coop, &tpg);
+  const RunSummary summary =
+      RunStream(stream, coop, FactoryOf<TpgAssigner>(),
+                UnshardedConfig(param.min_group, param.task_duration));
 
   // Reconstruct the busy ledger from the metrics: workers assigned at
   // batch time T are busy for ceil(task_duration) subsequent batches.
@@ -164,12 +158,11 @@ TEST(StreamingGtTest, GtAndTpgBothRunTheFramework) {
     }
   }
   const EventStream stream(trace.workers, trace.tasks);
-  const BatchRunner runner(BatchRunnerConfig{});
 
-  TpgAssigner tpg;
-  GtAssigner gt;
-  const double tpg_score = runner.RunStreaming(stream, coop, &tpg).TotalScore();
-  const double gt_score = runner.RunStreaming(stream, coop, &gt).TotalScore();
+  const double tpg_score =
+      RunStream(stream, coop, FactoryOf<TpgAssigner>()).TotalScore();
+  const double gt_score =
+      RunStream(stream, coop, FactoryOf<GtAssigner>()).TotalScore();
   EXPECT_GT(tpg_score, 0.0);
   // GT's per-batch refinement can shift carry-over between batches, so
   // day totals are close but not strictly ordered; allow a small band.

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "gen/trace.h"
 #include "model/cooperation_matrix.h"
 #include "service/dispatch_service.h"
-#include "sim/batch_runner.h"
 #include "sim/event_stream.h"
 
 namespace casc {
@@ -54,9 +54,11 @@ class ScopedEnv {
 };
 
 /// GtAssigner wrapper that certifies every returned batch assignment
-/// with the full Nash-equilibrium check and records the assignment as
-/// stable (worker id, task id) pairs, so batches of different runs and
-/// different instances can be compared exactly.
+/// with the full Nash-equilibrium check and appends the assignment, as
+/// stable (worker id, task id) pairs, to a caller-owned record list, so
+/// batches of different runs and different instances can be compared
+/// exactly. The dispatch service makes one solver per batch through its
+/// factory; the shared list collects them all in batch order.
 class RecordingGtAssigner : public Assigner {
  public:
   struct Record {
@@ -70,7 +72,8 @@ class RecordingGtAssigner : public Assigner {
     std::vector<std::pair<int64_t, int64_t>> pairs;  // (worker id, task id)
   };
 
-  explicit RecordingGtAssigner(GtOptions options = {}) : inner_(options) {}
+  RecordingGtAssigner(GtOptions options, std::vector<Record>* records)
+      : inner_(options), records_(records) {}
 
   std::string Name() const override { return inner_.Name(); }
 
@@ -97,16 +100,31 @@ class RecordingGtAssigner : public Assigner {
           instance.workers()[static_cast<size_t>(w)].id,
           t == kNoTask ? -1 : instance.tasks()[static_cast<size_t>(t)].id);
     }
-    records_.push_back(std::move(record));
+    records_->push_back(std::move(record));
     return result;
   }
 
-  const std::vector<Record>& records() const { return records_; }
-
  private:
   GtAssigner inner_;
-  std::vector<Record> records_;
+  std::vector<Record>* records_;
 };
+
+using Records = std::vector<RecordingGtAssigner::Record>;
+
+/// Runs `stream` through the unsharded (S = 1) dispatch service, solving
+/// every batch with a RecordingGtAssigner that appends to `records`.
+RunSummary RunRecorded(const EventStream& stream,
+                       const CooperationMatrix& coop, double task_duration,
+                       Records* records, GtOptions options = {}) {
+  DispatchConfig config;
+  config.sharded.shards_per_side = 1;
+  config.min_group_size = 3;
+  config.task_duration = task_duration;
+  DispatchService service(config, &coop, [options, records] {
+    return std::make_unique<RecordingGtAssigner>(options, records);
+  });
+  return service.Run(stream);
+}
 
 struct StreamFixture {
   Trace trace;
@@ -194,21 +212,18 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
   }
   const EventStream stream(workers, tasks);
 
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 100.0;  // cluster A never returns in this run
-  const BatchRunner runner(config);
-  RecordingGtAssigner recorder;
-  const RunSummary summary = runner.RunStreaming(stream, coop, &recorder);
+  Records records;
+  // Cluster A never returns in this run (task duration 100).
+  const RunSummary summary = RunRecorded(stream, coop, 100.0, &records);
 
   ASSERT_GE(summary.batches.size(), 8u);
-  ASSERT_EQ(summary.batches.size(), recorder.records().size());
+  ASSERT_EQ(summary.batches.size(), records.size());
 
   // Batch 0 is cold and starts cluster A.
   EXPECT_FALSE(summary.batches[0].warm_started);
   EXPECT_EQ(summary.batches[0].completed_tasks, 1);
   EXPECT_EQ(summary.batches[0].assigned_workers, 3);
-  EXPECT_TRUE(recorder.records()[0].nash);
+  EXPECT_TRUE(records[0].nash);
 
   // Every later batch sees the identical cluster-B pool: warm, no dirty
   // workers, no moves, one (verification-only) round, and the committed
@@ -219,11 +234,11 @@ TEST(WarmStartTest, ZeroChurnBatchesMakeNoMovesAndRepeatTheCommit) {
     EXPECT_EQ(batch.solve_moves, 0) << "batch " << i;
     EXPECT_EQ(batch.dirty_workers, 0) << "batch " << i;
     EXPECT_EQ(batch.gt_rounds, 1) << "batch " << i;
-    const RecordingGtAssigner::Record& record = recorder.records()[i];
+    const RecordingGtAssigner::Record& record = records[i];
     EXPECT_TRUE(record.nash) << "batch " << i;
     EXPECT_TRUE(record.converged) << "batch " << i;
     if (i >= 2) {
-      EXPECT_EQ(record.pairs, recorder.records()[i - 1].pairs)
+      EXPECT_EQ(record.pairs, records[i - 1].pairs)
           << "batch " << i << " diverged from the previous commit";
       EXPECT_EQ(batch.score, summary.batches[i - 1].score) << "batch " << i;
     }
@@ -260,32 +275,26 @@ TEST(WarmStartTest, AllFreshBatchesAreBitIdenticalToCold) {
   }
   const EventStream stream(workers, tasks);
 
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 1000.0;  // started workers never come back
-  const BatchRunner runner(config);
-
-  RecordingGtAssigner warm_recorder;
-  const RunSummary warm = runner.RunStreaming(stream, coop, &warm_recorder);
+  // Started workers never come back (task duration 1000).
+  Records warm_records;
+  const RunSummary warm = RunRecorded(stream, coop, 1000.0, &warm_records);
   ASSERT_GE(warm.batches.size(), static_cast<size_t>(kWaves));
   for (size_t i = 0; i < warm.batches.size(); ++i) {
     // Zero carry-over: the delta is never published, every batch is cold.
     EXPECT_FALSE(warm.batches[i].warm_started) << "batch " << i;
-    EXPECT_TRUE(warm_recorder.records()[i].nash) << "batch " << i;
+    EXPECT_TRUE(warm_records[i].nash) << "batch " << i;
   }
 
-  RecordingGtAssigner cold_recorder;
+  Records cold_records;
   RunSummary cold;
   {
     ScopedEnv off("CASC_NO_WARM_START", "1");
-    cold = runner.RunStreaming(stream, coop, &cold_recorder);
+    cold = RunRecorded(stream, coop, 1000.0, &cold_records);
   }
   ExpectIdenticalBatches(cold, warm, "all-fresh warm vs cold");
-  ASSERT_EQ(cold_recorder.records().size(), warm_recorder.records().size());
-  for (size_t i = 0; i < cold_recorder.records().size(); ++i) {
-    EXPECT_EQ(cold_recorder.records()[i].pairs,
-              warm_recorder.records()[i].pairs)
-        << "batch " << i;
+  ASSERT_EQ(cold_records.size(), warm_records.size());
+  for (size_t i = 0; i < cold_records.size(); ++i) {
+    EXPECT_EQ(cold_records[i].pairs, warm_records[i].pairs) << "batch " << i;
   }
 }
 
@@ -304,20 +313,15 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
   // index byte-for-byte against a from-scratch build inside the run.
   ScopedEnv audit("CASC_STREAM_AUDIT", "1");
 
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 2.0;
-  const BatchRunner runner(config);
-
-  RecordingGtAssigner warm_recorder;
+  Records warm_records;
   const RunSummary warm =
-      runner.RunStreaming(stream, fixture.coop, &warm_recorder);
+      RunRecorded(stream, fixture.coop, 2.0, &warm_records);
   ASSERT_GE(warm.batches.size(), 200u) << "trace too short for the test";
 
   int64_t warm_evals = 0;
   int warm_batches = 0;
-  for (size_t i = 0; i < warm_recorder.records().size(); ++i) {
-    const RecordingGtAssigner::Record& record = warm_recorder.records()[i];
+  for (size_t i = 0; i < warm_records.size(); ++i) {
+    const RecordingGtAssigner::Record& record = warm_records[i];
     ASSERT_TRUE(record.nash) << "batch " << i << " is not an equilibrium";
     ASSERT_TRUE(record.converged) << "batch " << i;
     warm_evals += record.evals;
@@ -326,15 +330,14 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
   // The carry-over-heavy trace must actually exercise the warm path.
   EXPECT_GT(warm_batches, static_cast<int>(warm.batches.size()) / 2);
 
-  RecordingGtAssigner cold_recorder;
+  Records cold_records;
   RunSummary cold;
   {
     ScopedEnv off("CASC_NO_WARM_START", "1");
-    cold = runner.RunStreaming(stream, fixture.coop, &cold_recorder);
+    cold = RunRecorded(stream, fixture.coop, 2.0, &cold_records);
   }
   int64_t cold_evals = 0;
-  for (const RecordingGtAssigner::Record& record :
-       cold_recorder.records()) {
+  for (const RecordingGtAssigner::Record& record : cold_records) {
     ASSERT_TRUE(record.nash);
     cold_evals += record.evals;
     EXPECT_FALSE(record.warm);
@@ -353,39 +356,34 @@ TEST(WarmStartTest, LongAuditedTraceCertifiesEveryBatch) {
 TEST(WarmStartTest, SolverThreadSweepBitIdenticalWhileWarm) {
   const StreamFixture fixture = MakeLongFixture(702, /*horizon=*/80.0);
   const EventStream stream(fixture.trace.workers, fixture.trace.tasks);
-  BatchRunnerConfig config;
-  config.min_group_size = 3;
-  config.task_duration = 2.0;
-  const BatchRunner runner(config);
-
-  std::vector<RecordingGtAssigner::Record> baseline;
+  Records baseline;
   RunSummary baseline_summary;
   for (const int threads : {1, 2, 4, 8}) {
     GtOptions options;
     options.num_threads = threads;
-    RecordingGtAssigner recorder(options);
+    Records records;
     const RunSummary summary =
-        runner.RunStreaming(stream, fixture.coop, &recorder);
+        RunRecorded(stream, fixture.coop, 2.0, &records, options);
     int warm_batches = 0;
-    for (const RecordingGtAssigner::Record& record : recorder.records()) {
+    for (const RecordingGtAssigner::Record& record : records) {
       ASSERT_TRUE(record.nash);
       if (record.warm) ++warm_batches;
     }
     EXPECT_GT(warm_batches, 0) << "threads=" << threads;
     if (threads == 1) {
-      baseline = recorder.records();
+      baseline = records;
       baseline_summary = summary;
       continue;
     }
     const std::string label = "threads=" + std::to_string(threads);
     ExpectIdenticalBatches(baseline_summary, summary, label);
-    ASSERT_EQ(baseline.size(), recorder.records().size()) << label;
+    ASSERT_EQ(baseline.size(), records.size()) << label;
     for (size_t i = 0; i < baseline.size(); ++i) {
-      ASSERT_EQ(baseline[i].pairs, recorder.records()[i].pairs)
+      ASSERT_EQ(baseline[i].pairs, records[i].pairs)
           << label << " batch " << i;
-      ASSERT_EQ(baseline[i].rounds, recorder.records()[i].rounds)
+      ASSERT_EQ(baseline[i].rounds, records[i].rounds)
           << label << " batch " << i;
-      ASSERT_EQ(baseline[i].moves, recorder.records()[i].moves)
+      ASSERT_EQ(baseline[i].moves, records[i].moves)
           << label << " batch " << i;
     }
   }
