@@ -31,21 +31,6 @@ double PairSumKernel(const double* tile, int64_t stride, const int* idx,
   return total;
 }
 
-double RowSumFloatUp(const float* row, const int* idx, int count) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  int j = 0;
-  for (; j + 4 <= count; j += 4) {
-    l0 += static_cast<double>(row[idx[j]]);
-    l1 += static_cast<double>(row[idx[j + 1]]);
-    l2 += static_cast<double>(row[idx[j + 2]]);
-    l3 += static_cast<double>(row[idx[j + 3]]);
-  }
-  if (j < count) l0 += static_cast<double>(row[idx[j]]);
-  if (j + 1 < count) l1 += static_cast<double>(row[idx[j + 1]]);
-  if (j + 2 < count) l2 += static_cast<double>(row[idx[j + 2]]);
-  return (l0 + l2) + (l1 + l3);
-}
-
 float RowMaxFloat(const float* row, int count) {
   float best = 0.0f;
   for (int k = 0; k < count; ++k) {

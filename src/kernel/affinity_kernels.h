@@ -29,12 +29,6 @@ double RowSumKernel(const double* row, const int* idx, int count);
 double PairSumKernel(const double* tile, int64_t stride, const int* idx,
                      int count);
 
-/// Screening variant over the float mirror plane: float loads, double
-/// accumulation, canonical lane order. Because the mirror rounds every
-/// element *up* (see FloatUp), the result upper-bounds the exact double
-/// RowSumKernel over the same indices.
-double RowSumFloatUp(const float* row, const int* idx, int count);
-
 /// Maximum of row[0..count-1]; 0.0f when count == 0 (affinities are
 /// non-negative). Order-independent, so no lane contract applies.
 float RowMaxFloat(const float* row, int count);

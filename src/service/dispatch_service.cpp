@@ -373,18 +373,17 @@ RunSummary DispatchService::Run(const EventStream& stream) {
 
     if (plane.HasWork()) {
       plane.Admit(config_.max_tasks_per_batch);
+      // Only the active workers (>= 1 valid pair) enter the instance; the
+      // emission that decides who they are is part of the build.
+      Stopwatch build_watch;
       plane.MaterializeWorkers(&batch_workers);
       plane.MaterializeAdmittedTasks(&batch_tasks);
+      // Ids are dense and inside global_coop (checked on entry).
       std::vector<int> ids;
       ids.reserve(batch_workers.size());
       for (const Worker& worker : batch_workers) {
-        CASC_CHECK_GE(worker.id, 0)
-            << "worker ids index the service's global cooperation matrix";
-        CASC_CHECK_LT(worker.id, global_coop_->num_workers())
-            << "worker id beyond the global cooperation matrix";
         ids.push_back(static_cast<int>(worker.id));
       }
-      Stopwatch build_watch;
       Instance instance(batch_workers, batch_tasks,
                         global_coop_->View(std::move(ids)), now,
                         config_.min_group_size);
@@ -435,7 +434,7 @@ RunSummary DispatchService::Run(const EventStream& stream) {
       BatchMetrics batch;
       batch.round = round;
       batch.now = now;
-      batch.num_workers = instance.num_workers();
+      batch.num_workers = plane.materialized_pool_size();
       batch.num_tasks = instance.num_tasks();
       batch.valid_pairs = static_cast<int64_t>(instance.NumValidPairs());
       batch.seconds = solve_seconds;

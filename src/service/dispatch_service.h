@@ -58,7 +58,7 @@ struct ServiceMetrics {
   int solve_rounds = 0;          ///< max best-response rounds over shards
   int64_t solve_moves = 0;       ///< strategy changes summed over shards
   int64_t dirty_workers = 0;     ///< initial dirty frontier (warm only)
-  double dirty_fraction = 0.0;   ///< dirty_workers / batch workers
+  double dirty_fraction = 0.0;   ///< dirty_workers / solved workers
   bool warm_started = false;     ///< any shard seeded from the skeleton
   double partition_seconds = 0.0;  ///< shard map + problem building
   double phase1_seconds = 0.0;     ///< parallel per-shard assignment
@@ -70,7 +70,8 @@ struct ServiceMetrics {
   /// Streaming data-plane timings. `ingest_seconds` covers arrival
   /// ingest plus incremental index maintenance (overlapped with the
   /// previous solve when the pipeline is on — `pipelined` records where
-  /// it ran); `index_build_seconds` covers the valid-pair build;
+  /// it ran); `index_build_seconds` covers the valid-pair build (in a
+  /// streaming run: active-worker selection, materialize and instance);
   /// `batch_seconds` is the batch's critical path (non-overlapped ingest
   /// + build + solve), the quantity the run-level p50/p99 summarize.
   double ingest_seconds = 0.0;

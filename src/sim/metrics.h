@@ -11,7 +11,10 @@ namespace casc {
 struct BatchMetrics {
   int round = 0;               ///< batch index
   double now = 0.0;            ///< batch timestamp phi
-  int num_workers = 0;         ///< |W(phi)|
+  /// |W(phi)|: the whole idle pool of the batch. A streaming solve sees
+  /// only the pool workers with a valid pair, so this can exceed the
+  /// solved instance's num_workers().
+  int num_workers = 0;
   int num_tasks = 0;           ///< |T(phi)|
   int64_t valid_pairs = 0;     ///< valid worker-and-task pairs
   double score = 0.0;          ///< Q(T(phi)) achieved (Equation 3)
@@ -26,7 +29,7 @@ struct BatchMetrics {
   /// and whether the batch seeded from the previous equilibrium.
   int64_t solve_moves = 0;       ///< strategy changes applied
   int64_t dirty_workers = 0;     ///< initial dirty frontier (warm only)
-  double dirty_fraction = 0.0;   ///< dirty_workers / num_workers
+  double dirty_fraction = 0.0;   ///< dirty_workers / solved workers
   bool warm_started = false;     ///< seeded from the prior equilibrium
 
   /// Streaming-mode data-plane timings: pool/arrival ingest (including

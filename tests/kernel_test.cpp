@@ -136,25 +136,6 @@ TEST(AffinityKernelsTest, PairSumMatchesCanonicalLaneOrder) {
   }
 }
 
-TEST(AffinityKernelsTest, RowSumFloatUpMatchesCanonicalLaneOrder) {
-  Rng rng(14);
-  std::vector<float> row(64);
-  for (float& v : row) v = FloatUp(WideValue(rng));
-  for (int count = 0; count <= 33; ++count) {
-    std::vector<int> idx;
-    std::vector<double> values;
-    for (int j = 0; j < count; ++j) {
-      idx.push_back(static_cast<int>(
-          rng.UniformInt(static_cast<uint64_t>(row.size()))));
-      values.push_back(
-          static_cast<double>(row[static_cast<size_t>(idx.back())]));
-    }
-    EXPECT_EQ(RowSumFloatUp(row.data(), idx.data(), count),
-              CanonicalLaneSum(values))
-        << "count=" << count;
-  }
-}
-
 TEST(AffinityKernelsTest, FloatUpNeverBelowSource) {
   Rng rng(15);
   for (int trial = 0; trial < 10000; ++trial) {
