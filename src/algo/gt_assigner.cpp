@@ -1,6 +1,7 @@
 #include "algo/gt_assigner.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -13,6 +14,28 @@
 #include "model/objective.h"
 
 namespace casc {
+
+/// Exact memo of the "no improving move" results of one solve, used by
+/// the certification pass that ends a dirty-frontier (LUB or warm-start)
+/// dynamic. Tasks are stamped with the move count at their last change;
+/// workers with the move count at their last no-move evaluation (-1 for
+/// none yet).
+struct NoMoveChecks {
+  explicit NoMoveChecks(const Instance& instance)
+      : task_changed(static_cast<size_t>(instance.num_tasks()), 0),
+        checked_at(static_cast<size_t>(instance.num_workers()), -1) {}
+
+  void RecordMove(TaskIndex from, TaskIndex to) {
+    ++moves;
+    if (from != kNoTask) task_changed[static_cast<size_t>(from)] = moves;
+    if (to != kNoTask) task_changed[static_cast<size_t>(to)] = moves;
+  }
+
+  int64_t moves = 0;
+  std::vector<int64_t> task_changed;  // per task
+  std::vector<int64_t> checked_at;    // per worker
+};
+
 namespace {
 
 /// Strict-improvement threshold; mirrors best_response.cpp.
@@ -31,14 +54,32 @@ struct Speculation {
   std::vector<char> task_touched;      // per task, reset each round
 };
 
+/// True when `w`'s last best-response evaluation in this solve found no
+/// improving move and none of its valid tasks has changed since. A best
+/// response reads only the groups at the worker's valid tasks (its
+/// current task is one of them), so such a worker would find no move
+/// again and the certification pass need not re-scan it.
+bool StillCertified(const Instance& instance, const NoMoveChecks& checks,
+                    WorkerIndex w) {
+  const int64_t checked_at = checks.checked_at[static_cast<size_t>(w)];
+  if (checked_at < 0) return false;
+  for (const TaskIndex t : instance.ValidTasks(w)) {
+    if (checks.task_changed[static_cast<size_t>(t)] > checked_at) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Pre-computes best responses for the workers of `order` that the
 /// sequential pass will (initially) evaluate: all of them in a full
-/// round, the dirty ones in a LUB round.
+/// round, the dirty ones in a LUB round, the not still certified ones in
+/// a certification pass.
 void Speculate(const Instance& instance, const Assignment& assignment,
                const ScoreKeeper& keeper,
                const std::vector<WorkerIndex>& order,
-               const std::vector<bool>* dirty, bool prune, ThreadPool* pool,
-               Speculation* spec) {
+               const std::vector<bool>* dirty, const NoMoveChecks* checks,
+               bool prune, ThreadPool* pool, Speculation* spec) {
   spec->active = true;
   spec->results.assign(static_cast<size_t>(instance.num_workers()),
                        BestResponse{});
@@ -50,9 +91,11 @@ void Speculate(const Instance& instance, const Assignment& assignment,
   std::vector<WorkerIndex> pending;
   pending.reserve(order.size());
   for (const WorkerIndex w : order) {
-    if (dirty == nullptr || (*dirty)[static_cast<size_t>(w)]) {
-      pending.push_back(w);
-    }
+    const bool evaluate = dirty != nullptr
+                              ? (*dirty)[static_cast<size_t>(w)]
+                              : checks == nullptr ||
+                                    !StillCertified(instance, *checks, w);
+    if (evaluate) pending.push_back(w);
   }
   pool->ParallelFor(
       static_cast<int64_t>(pending.size()), [&](int64_t i) {
@@ -155,10 +198,11 @@ MoveResult GtAssigner::MoveAndMarkDirty(const Instance& instance,
 int64_t GtAssigner::Round(const Instance& instance,
                           const std::vector<WorkerIndex>& order,
                           Assignment* assignment, ScoreKeeper* keeper,
-                          ThreadPool* pool, std::vector<bool>* dirty) {
+                          ThreadPool* pool, std::vector<bool>* dirty,
+                          NoMoveChecks* checks) {
   Speculation spec;
   if (pool != nullptr) {
-    Speculate(instance, *assignment, *keeper, order, dirty,
+    Speculate(instance, *assignment, *keeper, order, dirty, checks,
               options_.use_pruning, pool, &spec);
   }
 
@@ -170,6 +214,9 @@ int64_t GtAssigner::Round(const Instance& instance,
         continue;
       }
       (*dirty)[static_cast<size_t>(w)] = false;
+    } else if (checks != nullptr && StillCertified(instance, *checks, w)) {
+      ++stats_.best_response_skips;
+      continue;
     }
     const TaskIndex current = assignment->TaskOf(w);
     // Prune-work counters stay thread-count-invariant: a consumed
@@ -188,14 +235,22 @@ int64_t GtAssigner::Round(const Instance& instance,
     stats_.prune_candidates_skipped += counters.pruned;
     stats_.feasibility_rejects += counters.feasibility_rejects;
     ++stats_.best_response_evals;
-    if (best.task == current) continue;
-    const double current_utility =
-        StrategyUtility(instance, *keeper, *assignment, w, current, nullptr);
-    if (best.utility <= current_utility + kTolerance) continue;
+    const bool improves =
+        best.task != current &&
+        best.utility > StrategyUtility(instance, *keeper, *assignment, w,
+                                       current, nullptr) +
+                           kTolerance;
+    if (!improves) {
+      if (checks != nullptr) {
+        checks->checked_at[static_cast<size_t>(w)] = checks->moves;
+      }
+      continue;
+    }
     const MoveResult move =
         MoveAndMarkDirty(instance, assignment, keeper, w, best.task, dirty);
     MarkTouched(&spec, move.from);
     MarkTouched(&spec, best.task);
+    if (checks != nullptr) checks->RecordMove(move.from, best.task);
     ++moves;
   }
   stats_.moves += moves;
@@ -282,7 +337,9 @@ Assignment GtAssigner::Run(const Instance& instance) {
   // correctness.
   const bool use_dirty = options_.use_lub || warm;
   std::vector<bool> dirty;
+  std::unique_ptr<NoMoveChecks> checks;
   if (use_dirty) {
+    checks = std::make_unique<NoMoveChecks>(instance);
     if (warm) {
       dirty.assign(static_cast<size_t>(instance.num_workers()), false);
       for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
@@ -310,13 +367,16 @@ Assignment GtAssigner::Run(const Instance& instance) {
     int64_t moves;
     if (use_dirty) {
       moves = Round(instance, order, &assignment, &keeper, pool.get(),
-                    &dirty);
+                    &dirty, checks.get());
       if (moves == 0) {
         // The dirty set drained without a move. The theorem-based
         // filters are sound, but we still certify the equilibrium with
-        // one full pass; any move it finds re-enters the loop.
-        const int64_t verification_moves = Round(
-            instance, order, &assignment, &keeper, pool.get(), nullptr);
+        // one pass over every worker that no evaluation has certified
+        // against the current groups at its valid tasks; any move it
+        // finds re-enters the loop.
+        const int64_t verification_moves =
+            Round(instance, order, &assignment, &keeper, pool.get(),
+                  nullptr, checks.get());
         if (verification_moves == 0) {
           reached_equilibrium = true;
           break;
@@ -326,8 +386,8 @@ Assignment GtAssigner::Run(const Instance& instance) {
                          << verification_moves << " extra moves";
       }
     } else {
-      moves =
-          Round(instance, order, &assignment, &keeper, pool.get(), nullptr);
+      moves = Round(instance, order, &assignment, &keeper, pool.get(),
+                    nullptr, nullptr);
       if (moves == 0) {
         reached_equilibrium = true;
         break;

@@ -6,10 +6,7 @@
 #include "geo/reachability.h"
 #include "model/batch_workspace.h"
 #include "model/objective_model.h"
-#include "spatial/grid_index.h"
-#include "spatial/linear_scan.h"
-#include "spatial/probe_index.h"
-#include "spatial/rtree.h"
+#include "model/valid_pair_query.h"
 
 namespace casc {
 namespace {
@@ -102,57 +99,14 @@ void Instance::ComputeValidPairs(SpatialBackend backend,
   pairs_.BeginBuild(num_workers(), num_tasks());
 
   // Index task locations once, then answer one working-area circle query
-  // per worker (Algorithm 1 lines 4-5). The grid backend sizes itself
-  // with the same documented heuristic as the streaming splice's probe
-  // index (spatial/probe_index.h) instead of a second ad-hoc constant;
-  // cell count never changes query results, only speed.
-  RTree rtree;
-  GridIndex grid(ProbeGridCells(tasks_.size()));
-  LinearScan linear;
-  SpatialIndex* task_index = nullptr;
-  switch (backend) {
-    case SpatialBackend::kRTree:
-      task_index = &rtree;
-      break;
-    case SpatialBackend::kGridIndex:
-      task_index = &grid;
-      break;
-    case SpatialBackend::kLinearScan:
-      task_index = &linear;
-      break;
-  }
-  CASC_CHECK(task_index != nullptr);
-
-  std::vector<SpatialItem> local_items;
-  std::vector<SpatialItem>& items =
-      workspace != nullptr ? workspace->spatial_items() : local_items;
-  items.clear();
-  items.reserve(tasks_.size());
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    items.push_back(
-        SpatialItem{static_cast<int64_t>(t), task_locations_[t]});
-  }
-  task_index->Build(items);
-
-  for (int w = 0; w < num_workers(); ++w) {
-    const size_t wi = static_cast<size_t>(w);
-    if (worker_arrivals_[wi] > now_) {
-      pairs_.FinishWorker();
-      continue;
-    }
-    const std::vector<int64_t> in_range =
-        task_index->CircleQuery(worker_locations_[wi], worker_radii_[wi]);
-    for (const int64_t raw_t : in_range) {
-      const TaskIndex t = static_cast<TaskIndex>(raw_t);
-      const size_t ti = static_cast<size_t>(t);
-      if (task_create_times_[ti] > now_) continue;
-      if (!CanArriveByDeadline(worker_locations_[wi], worker_speeds_[wi],
-                               task_locations_[ti], now_,
-                               task_deadlines_[ti])) {
-        continue;
-      }
-      pairs_.AppendValidTask(t);
-    }
+  // per worker (Algorithm 1 lines 4-5).
+  ValidPairQuery query(tasks_, now_, backend,
+                       workspace != nullptr ? &workspace->spatial_items()
+                                            : nullptr);
+  std::vector<TaskIndex> row;
+  for (const Worker& worker : workers_) {
+    query.ValidTasks(worker, &row);
+    for (const TaskIndex t : row) pairs_.AppendValidTask(t);
     pairs_.FinishWorker();
   }
   pairs_.FinishBuild();

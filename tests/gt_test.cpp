@@ -304,6 +304,24 @@ TEST_P(LubSeedTest, LubSkipsWorkButNotQuality) {
   EXPECT_GT(lazy.stats().best_response_skips, 0);
 }
 
+// The closing verification pass re-scans only workers that no earlier
+// no-move evaluation still certifies, so LUB's total evaluations (dirty
+// rounds plus that pass) undercut plain GT's full rounds, and the
+// certified result is still an equilibrium.
+TEST_P(LubSeedTest, LubEvaluatesLessThanPlainGt) {
+  const Instance instance = RandomInstance(300, 100, GetParam() ^ 0x1AB);
+  GtAssigner plain;
+  GtOptions options;
+  options.use_lub = true;
+  GtAssigner lazy(options);
+  plain.Run(instance);
+  const Assignment assignment = lazy.Run(instance);
+  EXPECT_TRUE(lazy.stats().converged);
+  EXPECT_TRUE(IsNashEquilibrium(instance, assignment, 1e-9));
+  EXPECT_LT(lazy.stats().best_response_evals,
+            plain.stats().best_response_evals);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, LubSeedTest,
                          ::testing::Values(21u, 22u, 23u, 24u));
 
