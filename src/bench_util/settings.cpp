@@ -4,6 +4,44 @@
 
 namespace casc {
 
+Status ExperimentSettings::Validate() const {
+  if (num_workers < 0) {
+    return Status::InvalidArgument("worker count must be >= 0, got " +
+                                   std::to_string(num_workers));
+  }
+  if (num_tasks < 0) {
+    return Status::InvalidArgument("task count must be >= 0, got " +
+                                   std::to_string(num_tasks));
+  }
+  if (min_group_size < 2) {
+    return Status::InvalidArgument(
+        "minimum group size B must be >= 2 (Equation 2 divides by B - 1), "
+        "got " + std::to_string(min_group_size));
+  }
+  if (capacity < min_group_size) {
+    return Status::InvalidArgument(
+        "task capacity a_j (" + std::to_string(capacity) +
+        ") must be >= the minimum group size B (" +
+        std::to_string(min_group_size) + ")");
+  }
+  if (!(speed_min_pct >= 0.0 && speed_min_pct <= speed_max_pct)) {
+    return Status::InvalidArgument("speed range must satisfy 0 <= v- <= v+");
+  }
+  if (!(radius_min_pct >= 0.0 && radius_min_pct <= radius_max_pct)) {
+    return Status::InvalidArgument("radius range must satisfy 0 <= r- <= r+");
+  }
+  if (!(remaining_time >= 0.0)) {
+    return Status::InvalidArgument("remaining time tau_j must be >= 0");
+  }
+  if (!(epsilon >= 0.0)) {
+    return Status::InvalidArgument("epsilon must be >= 0");
+  }
+  if (rounds < 0) {
+    return Status::InvalidArgument("rounds R must be >= 0");
+  }
+  return Status::Ok();
+}
+
 WorkerGenConfig ExperimentSettings::MakeWorkerConfig() const {
   WorkerGenConfig config;
   config.spatial.distribution = distribution;

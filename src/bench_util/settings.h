@@ -3,6 +3,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "gen/meetup_like.h"
 #include "gen/synthetic.h"
 
@@ -30,6 +31,13 @@ struct ExperimentSettings {
   int min_group_size = 3;        ///< B = 3
   LocationDistribution distribution = LocationDistribution::kUniform;
   uint64_t seed = 42;            ///< master seed for generators
+
+  /// Ok iff the generators and the Instance constructor accept these
+  /// settings: non-negative counts, B >= 2, a_j >= B, ordered
+  /// non-negative speed and radius ranges, and non-negative tau_j,
+  /// epsilon and R. Callers taking settings from user input check this
+  /// before MakeSource() instead of hitting a CHECK inside it.
+  Status Validate() const;
 
   /// Worker sampling parameters implied by these settings.
   WorkerGenConfig MakeWorkerConfig() const;

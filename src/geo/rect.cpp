@@ -2,13 +2,7 @@
 
 #include <algorithm>
 
-#include "common/strings.h"
-
 namespace casc {
-
-Rect Rect::Empty() { return Rect{1.0, 1.0, 0.0, 0.0}; }
-
-Rect Rect::FromPoint(const Point& p) { return Rect{p.x, p.y, p.x, p.y}; }
 
 Rect Rect::FromCircle(const Point& c, double r) {
   return Rect{c.x - r, c.y - r, c.x + r, c.y + r};
@@ -18,67 +12,10 @@ bool Rect::Contains(const Point& p) const {
   return p.x >= min_x && p.x <= max_x && p.y >= min_y && p.y <= max_y;
 }
 
-bool Rect::Contains(const Rect& other) const {
-  if (other.IsEmpty()) return true;
-  if (IsEmpty()) return false;
-  return other.min_x >= min_x && other.max_x <= max_x &&
-         other.min_y >= min_y && other.max_y <= max_y;
-}
-
-bool Rect::Intersects(const Rect& other) const {
-  if (IsEmpty() || other.IsEmpty()) return false;
-  return min_x <= other.max_x && other.min_x <= max_x &&
-         min_y <= other.max_y && other.min_y <= max_y;
-}
-
-double Rect::Area() const {
-  if (IsEmpty()) return 0.0;
-  return (max_x - min_x) * (max_y - min_y);
-}
-
-double Rect::Margin() const {
-  if (IsEmpty()) return 0.0;
-  return (max_x - min_x) + (max_y - min_y);
-}
-
-Rect Rect::Union(const Rect& other) const {
-  Rect out = *this;
-  out.Extend(other);
-  return out;
-}
-
-double Rect::Enlargement(const Rect& other) const {
-  return Union(other).Area() - Area();
-}
-
-void Rect::Extend(const Rect& other) {
-  if (other.IsEmpty()) return;
-  if (IsEmpty()) {
-    *this = other;
-    return;
-  }
-  min_x = std::min(min_x, other.min_x);
-  min_y = std::min(min_y, other.min_y);
-  max_x = std::max(max_x, other.max_x);
-  max_y = std::max(max_y, other.max_y);
-}
-
-void Rect::Extend(const Point& p) { Extend(Rect::FromPoint(p)); }
-
 double Rect::MinSquaredDistance(const Point& p) const {
   const double dx = std::max({min_x - p.x, 0.0, p.x - max_x});
   const double dy = std::max({min_y - p.y, 0.0, p.y - max_y});
   return dx * dx + dy * dy;
-}
-
-Point Rect::Center() const {
-  return Point{(min_x + max_x) / 2.0, (min_y + max_y) / 2.0};
-}
-
-std::string ToString(const Rect& r) {
-  return "[" + FormatDouble(r.min_x, 4) + "," + FormatDouble(r.min_y, 4) +
-         " - " + FormatDouble(r.max_x, 4) + "," + FormatDouble(r.max_y, 4) +
-         "]";
 }
 
 }  // namespace casc

@@ -1,7 +1,5 @@
 #include "model/instance.h"
 
-#include <atomic>
-
 #include "common/check.h"
 #include "geo/reachability.h"
 #include "model/batch_workspace.h"
@@ -9,19 +7,6 @@
 #include "model/valid_pair_query.h"
 
 namespace casc {
-namespace {
-
-std::atomic<SpatialBackend> g_default_backend{SpatialBackend::kRTree};
-
-}  // namespace
-
-void SetDefaultSpatialBackend(SpatialBackend backend) {
-  g_default_backend.store(backend, std::memory_order_relaxed);
-}
-
-SpatialBackend DefaultSpatialBackend() {
-  return g_default_backend.load(std::memory_order_relaxed);
-}
 
 Instance::Instance(std::vector<Worker> workers, std::vector<Task> tasks,
                    CooperationMatrix coop, double now, int min_group_size)
@@ -85,12 +70,7 @@ bool Instance::IsValidPair(WorkerIndex w, TaskIndex t) const {
                              task_locations_[ti], now_, task_deadlines_[ti]);
 }
 
-void Instance::ComputeValidPairs() {
-  ComputeValidPairs(DefaultSpatialBackend(), nullptr);
-}
-
-void Instance::ComputeValidPairs(SpatialBackend backend,
-                                 BatchWorkspace* workspace) {
+void Instance::ComputeValidPairs(BatchWorkspace* workspace) {
   if (valid_pairs_ready_) return;
 
   if (workspace != nullptr) {
@@ -100,7 +80,7 @@ void Instance::ComputeValidPairs(SpatialBackend backend,
 
   // Index task locations once, then answer one working-area circle query
   // per worker (Algorithm 1 lines 4-5).
-  ValidPairQuery query(tasks_, now_, backend,
+  ValidPairQuery query(tasks_, now_,
                        workspace != nullptr ? &workspace->spatial_items()
                                             : nullptr);
   std::vector<TaskIndex> row;

@@ -35,6 +35,13 @@ bool ReadInt(std::istream* in, int64_t* out) {
   return static_cast<bool>(*in >> *out);
 }
 
+/// Reads an integer in [lo, INT_MAX]: the model stores counts, group
+/// sizes and capacities as int, so anything larger would truncate.
+bool ReadIntInRange(std::istream* in, int64_t lo, int64_t* out) {
+  return ReadInt(in, out) && *out >= lo &&
+         *out <= std::numeric_limits<int>::max();
+}
+
 }  // namespace
 
 Status SaveInstance(const Instance& instance, std::ostream* out) {
@@ -85,17 +92,18 @@ Result<Instance> LoadInstance(std::istream* in) {
   if (!ReadDouble(in, &now)) return Status::InvalidArgument("bad now");
   if (Status s = ExpectToken(in, "min_group"); !s.ok()) return s;
   int64_t min_group = 0;
-  if (!ReadInt(in, &min_group) || min_group < 2) {
+  if (!ReadIntInRange(in, 2, &min_group)) {
     return Status::InvalidArgument("bad min_group");
   }
 
   if (Status s = ExpectToken(in, "workers"); !s.ok()) return s;
   int64_t m = 0;
-  if (!ReadInt(in, &m) || m < 0) {
+  if (!ReadIntInRange(in, 0, &m)) {
     return Status::InvalidArgument("bad worker count");
   }
+  // No reserve from the header count: a malformed count must fail on its
+  // missing records, not on a huge allocation.
   std::vector<Worker> workers;
-  workers.reserve(static_cast<size_t>(m));
   for (int64_t i = 0; i < m; ++i) {
     Worker worker;
     if (!ReadInt(in, &worker.id) || !ReadDouble(in, &worker.location.x) ||
@@ -110,18 +118,18 @@ Result<Instance> LoadInstance(std::istream* in) {
 
   if (Status s = ExpectToken(in, "tasks"); !s.ok()) return s;
   int64_t n = 0;
-  if (!ReadInt(in, &n) || n < 0) {
+  if (!ReadIntInRange(in, 0, &n)) {
     return Status::InvalidArgument("bad task count");
   }
   std::vector<Task> tasks;
-  tasks.reserve(static_cast<size_t>(n));
   for (int64_t j = 0; j < n; ++j) {
     Task task;
     int64_t capacity = 0;
     if (!ReadInt(in, &task.id) || !ReadDouble(in, &task.location.x) ||
         !ReadDouble(in, &task.location.y) ||
         !ReadDouble(in, &task.create_time) ||
-        !ReadDouble(in, &task.deadline) || !ReadInt(in, &capacity)) {
+        !ReadDouble(in, &task.deadline) ||
+        !ReadIntInRange(in, 0, &capacity)) {
       return Status::InvalidArgument("bad task record " + std::to_string(j));
     }
     if (capacity < min_group) {

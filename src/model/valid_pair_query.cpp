@@ -1,34 +1,13 @@
 #include "model/valid_pair_query.h"
 
-#include "common/check.h"
 #include "geo/reachability.h"
-#include "spatial/grid_index.h"
-#include "spatial/linear_scan.h"
 #include "spatial/probe_index.h"
-#include "spatial/rtree.h"
 
 namespace casc {
 
 ValidPairQuery::ValidPairQuery(std::span<const Task> tasks, double now,
-                               SpatialBackend backend,
                                std::vector<SpatialItem>* items)
     : tasks_(tasks), now_(now) {
-  // The grid backend sizes itself with the same documented heuristic as
-  // the streaming splice's probe index (spatial/probe_index.h); cell
-  // count never changes query results, only speed.
-  switch (backend) {
-    case SpatialBackend::kRTree:
-      index_ = std::make_unique<RTree>();
-      break;
-    case SpatialBackend::kGridIndex:
-      index_ = std::make_unique<GridIndex>(ProbeGridCells(tasks.size()));
-      break;
-    case SpatialBackend::kLinearScan:
-      index_ = std::make_unique<LinearScan>();
-      break;
-  }
-  CASC_CHECK(index_ != nullptr);
-
   std::vector<SpatialItem> local_items;
   std::vector<SpatialItem>& build = items != nullptr ? *items : local_items;
   build.clear();
@@ -36,7 +15,7 @@ ValidPairQuery::ValidPairQuery(std::span<const Task> tasks, double now,
   for (size_t t = 0; t < tasks.size(); ++t) {
     build.push_back(SpatialItem{static_cast<int64_t>(t), tasks[t].location});
   }
-  index_->Build(build);
+  index_ = MakeProbeIndex(build);
 }
 
 template <typename Visit>

@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "model/instance.h"
 #include "model/task.h"
 #include "model/worker.h"
 #include "spatial/spatial_index.h"
@@ -14,7 +13,7 @@
 namespace casc {
 
 /// The from-scratch Definition 3 query: indexes the task locations once
-/// with the chosen backend, then answers each worker with one
+/// with MakeProbeIndex, then answers each worker with one
 /// working-area circle query followed by the presence and deadline tests
 /// (Algorithm 1 lines 4-5). Instance::ComputeValidPairs builds its pair
 /// lists with it, and the streaming plane's scratch mode and audit use it
@@ -25,7 +24,6 @@ class ValidPairQuery {
   /// Indexes `tasks` (which must outlive the query) for batch time `now`.
   /// A non-null `items` is reused as the index's build buffer.
   ValidPairQuery(std::span<const Task> tasks, double now,
-                 SpatialBackend backend,
                  std::vector<SpatialItem>* items = nullptr);
 
   /// Fills `out` with the indexes into `tasks` valid for `worker`, in

@@ -254,7 +254,7 @@ DispatchResult DispatchService::RunBatch(std::vector<Worker> workers,
                     config_.min_group_size);
   instance.set_objective(objective_);
   Stopwatch build_watch;
-  instance.ComputeValidPairs(DefaultSpatialBackend(), &build_workspace_);
+  instance.ComputeValidPairs(&build_workspace_);
   const double index_build_seconds = build_watch.ElapsedSeconds();
 
   BatchMetrics batch;

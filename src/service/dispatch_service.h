@@ -81,10 +81,10 @@ struct ServiceMetrics {
 
   /// Split of the incremental data-plane work (all zero in scratch
   /// mode): delta splice into known rows, fresh rows for new workers and
-  /// the persistent spatial batch insert are parts of ingest_seconds;
-  /// csr_emit_seconds is the parallel CSR emission inside
-  /// index_build_seconds. `ingest_threads` is the plane's resolved
-  /// fan-out width (1 = serial / CASC_NO_PARALLEL_INGEST).
+  /// the per-batch build of the open-task index those fresh rows query
+  /// are parts of ingest_seconds; csr_emit_seconds is the parallel CSR
+  /// emission inside index_build_seconds. `ingest_threads` is the plane's
+  /// resolved fan-out width (1 = serial / CASC_NO_PARALLEL_INGEST).
   double ingest_splice_seconds = 0.0;
   double ingest_fresh_rows_seconds = 0.0;
   double ingest_spatial_seconds = 0.0;
@@ -231,14 +231,14 @@ struct DispatchConfig {
   /// deadlines expire, like any other unassigned open task.
   int max_tasks_per_batch = 0;
 
-  /// Delta-maintain the spatial index and valid-pair rows across the
-  /// streaming batches instead of rebuilding per batch. Anded with the
+  /// Delta-maintain the valid-pair rows across the streaming batches
+  /// instead of rebuilding them per batch. Anded with the
   /// CASC_NO_INCREMENTAL kill switch at Run() time; either side can turn
   /// it off. Never changes any output (differentially checked under
   /// CASC_STREAM_AUDIT / audit_streaming).
   bool enable_incremental = true;
 
-  /// Overlap batch N+1's ingest + incremental index maintenance with
+  /// Overlap batch N+1's ingest + incremental row maintenance with
   /// batch N's solve on a two-slot pipeline. Anded with the
   /// CASC_NO_PIPELINE kill switch at Run() time. The solved outputs are
   /// bit-identical to the sequential loop (the solver never reads the

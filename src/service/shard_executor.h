@@ -34,7 +34,7 @@ using ShardFaultHook = std::function<bool(int batch, int shard)>;
 /// interior workers and tasks under local indices, a zero-copy
 /// CooperationMatrix view remapping local worker indices onto the global
 /// matrix, and valid-pair lists derived from the global lists (filter +
-/// remap — no per-shard R-tree rebuild).
+/// remap — no per-shard spatial query).
 struct ShardProblem {
   Instance instance;                        ///< local, valid pairs ready
   std::vector<WorkerIndex> global_workers;  ///< local w -> global w

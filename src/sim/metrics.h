@@ -41,9 +41,10 @@ struct BatchMetrics {
 
   /// Where the incremental plane spent the ingest/build time (all zero in
   /// scratch mode): delta splice into known rows, fresh rows for new
-  /// workers, the persistent spatial-index batch insert, and the CSR
-  /// emission inside the valid-pair build. The first three are parts of
-  /// ingest_seconds; csr_emit_seconds is part of index_build_seconds.
+  /// workers, the per-batch build of the open-task index those fresh rows
+  /// query, and the CSR emission inside the valid-pair build. The first
+  /// three are parts of ingest_seconds; csr_emit_seconds is part of
+  /// index_build_seconds.
   double ingest_splice_seconds = 0.0;
   double ingest_fresh_rows_seconds = 0.0;
   double ingest_spatial_seconds = 0.0;

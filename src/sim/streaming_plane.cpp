@@ -11,10 +11,7 @@
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "geo/reachability.h"
-#include "spatial/grid_index.h"
-#include "spatial/linear_scan.h"
 #include "spatial/probe_index.h"
-#include "spatial/rtree.h"
 
 namespace casc {
 namespace {
@@ -27,7 +24,6 @@ constexpr size_t kMinRowsPerChunk = 256;
 
 StreamingPlaneConfig StreamingPlaneConfig::FromEnv() {
   StreamingPlaneConfig config;
-  config.backend = DefaultSpatialBackend();
   // Read at call time (not cached) so tests can flip the switches
   // between runs in one process.
   config.incremental = std::getenv("CASC_NO_INCREMENTAL") == nullptr;
@@ -45,23 +41,7 @@ StreamingPlaneConfig StreamingPlaneConfig::FromEnv() {
 
 StreamingPlane::StreamingPlane(StreamingPlaneConfig config)
     : config_(config) {
-  CASC_CHECK_GT(config_.rtree_rebuild_fraction, 0.0);
   if (config_.incremental) {
-    switch (config_.backend) {
-      case SpatialBackend::kRTree: {
-        auto rtree = std::make_unique<RTree>();
-        task_rtree_ = rtree.get();
-        task_index_ = std::move(rtree);
-        break;
-      }
-      case SpatialBackend::kGridIndex:
-        task_index_ = std::make_unique<GridIndex>();
-        break;
-      case SpatialBackend::kLinearScan:
-        task_index_ = std::make_unique<LinearScan>();
-        break;
-    }
-    CASC_CHECK(task_index_ != nullptr);
     if (config_.parallel_ingest) {
       ingest_threads_ = config_.ingest_threads > 0
                             ? config_.ingest_threads
@@ -144,17 +124,16 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
     return;
   }
 
-  Stopwatch phase;
-  if (!tasks.empty()) {
-    rebuild_items_.clear();
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      const int32_t handle =
-          static_cast<int32_t>(slot_of_handle_.size() - tasks.size() + i);
-      rebuild_items_.push_back(SpatialItem{handle, tasks[i].location});
+  // A probe index (spatial/probe_index.h picks linear scan vs sized grid)
+  // over the open tasks at pool slots [first, end), keyed by task handle.
+  const auto index_pool_tasks = [&](size_t first) {
+    probe_items_.clear();
+    for (size_t slot = first; slot < pool_tasks_.size(); ++slot) {
+      probe_items_.push_back(
+          SpatialItem{pool_task_handles_[slot], pool_tasks_[slot].location});
     }
-    task_index_->InsertBatch(rebuild_items_, ingest_pool_.get());
-  }
-  ingest_stats_.spatial_insert_seconds = phase.ElapsedSeconds();
+    return MakeProbeIndex(probe_items_);
+  };
 
   // Splice the arrivals into every known worker's row — including busy
   // workers, so a returning worker's row is already current. One probe
@@ -162,12 +141,13 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
   // Each chunk writes only its own contiguous handle range's rows, so
   // the fan-out is race-free and the per-row outcome is exactly the
   // serial loop's; counters merge in fixed chunk order below.
-  phase.Restart();
+  Stopwatch phase;
   if (!tasks.empty() && known_workers > 0) {
     // The probe index is queried once per known worker, so at 1M workers
-    // even a 40-item delta deserves cell pruning; the shared heuristic
-    // (spatial/probe_index.h) picks linear scan vs sized grid.
-    const std::unique_ptr<SpatialIndex> delta = MakeProbeIndex(rebuild_items_);
+    // even a 40-item delta deserves cell pruning. This window's arrivals
+    // are the pool's tail slots.
+    const std::unique_ptr<SpatialIndex> delta =
+        index_pool_tasks(pool_tasks_.size() - tasks.size());
     const int chunks = ChunksFor(known_workers);
     RunOnChunks(known_workers, chunks, [&](int chunk, size_t begin,
                                            size_t end) {
@@ -185,11 +165,16 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
   }
   ingest_stats_.splice_seconds = phase.ElapsedSeconds();
 
-  // New workers: one full circle query each against the persistent index
-  // (which now includes this window's tasks). The stores are resized
-  // up front so the parallel fill never reallocates under other chunks.
-  phase.Restart();
+  // New workers: one full circle query each against an index over every
+  // open task, this window's arrivals included — the same live set, and
+  // so the same id-sorted query results, as any index kept across
+  // batches would hold. The stores are resized up front so the parallel
+  // fill never reallocates under other chunks.
   if (!workers.empty()) {
+    phase.Restart();
+    const std::unique_ptr<SpatialIndex> open_tasks = index_pool_tasks(0);
+    ingest_stats_.spatial_insert_seconds = phase.ElapsedSeconds();
+    phase.Restart();
     worker_store_.insert(worker_store_.end(), workers.begin(), workers.end());
     rows_.resize(worker_store_.size());
     const int chunks = ChunksFor(workers.size());
@@ -199,7 +184,7 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
       scratch.appended = 0;
       scratch.rejects = 0;
       for (size_t i = begin; i < end; ++i) {
-        SpliceRow(static_cast<int32_t>(known_workers + i), *task_index_, now,
+        SpliceRow(static_cast<int32_t>(known_workers + i), *open_tasks, now,
                   &scratch);
       }
     });
@@ -210,8 +195,8 @@ void StreamingPlane::Ingest(double now, std::span<const Worker> workers,
     for (size_t i = 0; i < workers.size(); ++i) {
       pool_worker_handles_.push_back(static_cast<int32_t>(known_workers + i));
     }
+    ingest_stats_.fresh_rows_seconds = phase.ElapsedSeconds();
   }
-  ingest_stats_.fresh_rows_seconds = phase.ElapsedSeconds();
 }
 
 void StreamingPlane::StageReleases(double now) {
@@ -235,11 +220,6 @@ void StreamingPlane::FlushReleases() {
 
 void StreamingPlane::RemoveTask(int32_t slot) {
   const int32_t handle = pool_task_handles_[static_cast<size_t>(slot)];
-  if (config_.incremental) {
-    const bool removed = task_index_->Remove(SpatialItem{
-        handle, pool_tasks_[static_cast<size_t>(slot)].location});
-    CASC_CHECK(removed) << "open task missing from the persistent index";
-  }
   slot_of_handle_[static_cast<size_t>(handle)] = -1;
 }
 
@@ -248,25 +228,6 @@ void StreamingPlane::RefreshSlots() {
     slot_of_handle_[static_cast<size_t>(pool_task_handles_[slot])] =
         static_cast<int32_t>(slot);
   }
-}
-
-void StreamingPlane::MaybeRebuildSpatialIndex() {
-  if (task_rtree_ == nullptr) return;
-  CASC_CHECK_EQ(task_rtree_->Size(), pool_tasks_.size());
-  const double threshold =
-      config_.rtree_rebuild_fraction *
-      static_cast<double>(std::max<size_t>(pool_tasks_.size(), 1));
-  if (static_cast<double>(task_rtree_->removed_since_build()) <= threshold) {
-    return;
-  }
-  rebuild_items_.clear();
-  rebuild_items_.reserve(pool_tasks_.size());
-  for (size_t slot = 0; slot < pool_tasks_.size(); ++slot) {
-    rebuild_items_.push_back(SpatialItem{pool_task_handles_[slot],
-                                         pool_tasks_[slot].location});
-  }
-  task_rtree_->Build(rebuild_items_);
-  ++spatial_rebuilds_;
 }
 
 void StreamingPlane::Expire(double now) {
@@ -285,7 +246,6 @@ void StreamingPlane::Expire(double now) {
   pool_tasks_.resize(keep);
   pool_task_handles_.resize(keep);
   RefreshSlots();
-  MaybeRebuildSpatialIndex();
 }
 
 void StreamingPlane::Admit(int budget) {
@@ -370,7 +330,7 @@ void StreamingPlane::MaterializeWorkers(std::vector<Worker>* out) {
 void StreamingPlane::ScratchActive(std::vector<uint8_t>* active_out) const {
   std::vector<Task> admitted;
   MaterializeAdmittedTasks(&admitted);
-  ValidPairQuery query(admitted, batch_now_, config_.backend);
+  ValidPairQuery query(admitted, batch_now_);
   active_out->assign(pool_worker_handles_.size(), 0);
   for (size_t slot = 0; slot < pool_worker_handles_.size(); ++slot) {
     (*active_out)[slot] = query.HasValidTask(
@@ -441,7 +401,7 @@ void StreamingPlane::BuildValidPairs(Instance* instance,
   if (!config_.incremental) {
     // Scratch mode: the literal pre-existing rebuild-everything path,
     // over the workers its own from-scratch query found active.
-    instance->ComputeValidPairs(config_.backend, workspace);
+    instance->ComputeValidPairs(workspace);
     return;
   }
 
@@ -487,7 +447,7 @@ void StreamingPlane::BuildValidPairs(Instance* instance,
   emit_stats_.csr_emit_seconds += emit_watch.ElapsedSeconds();
 
   if (config_.audit) {
-    instance->ComputeValidPairs(config_.backend, nullptr);
+    instance->ComputeValidPairs();
     ValidPairIndex scratch = instance->ReleaseValidPairs();
     CASC_CHECK(index.SameAs(scratch))
         << "CASC_STREAM_AUDIT: delta-maintained valid pairs differ from "
@@ -774,7 +734,6 @@ void StreamingPlane::Commit(const Instance& instance,
   std::swap(pool_tasks_, scratch_tasks_);
   std::swap(pool_task_handles_, scratch_handles_);
   RefreshSlots();
-  MaybeRebuildSpatialIndex();
 }
 
 }  // namespace casc

@@ -18,16 +18,10 @@
 
 namespace casc {
 
-class RTree;
 class ThreadPool;
 
 /// Configuration of the incremental streaming data plane.
 struct StreamingPlaneConfig {
-  /// Spatial backend for the persistent task index and the from-scratch
-  /// fallback. Every backend returns identical (id-sorted) query results,
-  /// so the choice never changes the produced valid-pair sets.
-  SpatialBackend backend = SpatialBackend::kRTree;
-
   /// Delta-maintain the valid-pair rows across batches (the whole point
   /// of the plane). When false the plane only does pool bookkeeping,
   /// MaterializeWorkers() finds the active workers with a from-scratch
@@ -42,12 +36,6 @@ struct StreamingPlaneConfig {
   /// byte-identical (ValidPairIndex::SameAs). Debug/CI tool, enabled at
   /// runtime via CASC_STREAM_AUDIT.
   bool audit = false;
-
-  /// R-tree tombstone threshold: once removed_since_build() exceeds this
-  /// fraction of the live size, the accumulated loose bounds make a fresh
-  /// bulk load cheaper than querying the degraded tree, so the plane
-  /// rebuilds the persistent index from the live pool.
-  double rtree_rebuild_fraction = 0.25;
 
   /// Fan the per-worker splice, fresh-row and CSR-emission loops out over
   /// an owned thread pool. Outputs are bit-identical on or off (the
@@ -90,11 +78,10 @@ struct StreamingPlaneConfig {
   /// tasks); override with CASC_WARM_RETRY_EPOCH.
   int warm_retry_epoch = 4;
 
-  /// Defaults plus the process-wide runtime switches: backend from
-  /// DefaultSpatialBackend(), incremental off when CASC_NO_INCREMENTAL is
-  /// set, audit on when CASC_STREAM_AUDIT is set, parallel ingest off
-  /// when CASC_NO_PARALLEL_INGEST is set, thread count from
-  /// CASC_INGEST_THREADS when positive, warm start off when
+  /// Defaults plus the process-wide runtime switches: incremental off
+  /// when CASC_NO_INCREMENTAL is set, audit on when CASC_STREAM_AUDIT is
+  /// set, parallel ingest off when CASC_NO_PARALLEL_INGEST is set, thread
+  /// count from CASC_INGEST_THREADS when positive, warm start off when
   /// CASC_NO_WARM_START is set, retry epoch from CASC_WARM_RETRY_EPOCH
   /// when set.
   static StreamingPlaneConfig FromEnv();
@@ -106,7 +93,7 @@ struct StreamingPlaneConfig {
 struct StreamingIngestStats {
   double splice_seconds = 0.0;        ///< delta splice into known rows
   double fresh_rows_seconds = 0.0;    ///< full queries for new workers
-  double spatial_insert_seconds = 0.0;  ///< persistent-index batch insert
+  double spatial_insert_seconds = 0.0;  ///< open-task index build
   int64_t spliced_entries = 0;   ///< entries appended to known rows
   int64_t splice_rejects = 0;    ///< splice-time deadline rejects (known)
   int64_t fresh_entries = 0;     ///< entries appended to new workers' rows
@@ -124,14 +111,17 @@ struct StreamingEmitStats {
 
 /// The cross-batch state of a streaming run (Algorithm 1), maintained
 /// incrementally: the idle-worker pool, the open-task pool, the busy-
-/// worker queue, a persistent spatial index over the open tasks, and a
-/// delta-maintained valid-pair row per worker. Between consecutive
-/// batches the plane touches O(arrivals + departures) state instead of
-/// rebuilding the task index and re-running one circle query per worker:
+/// worker queue and a delta-maintained valid-pair row per worker.
+/// Between consecutive batches the plane re-runs a circle query only for
+/// the new workers instead of one per worker:
 ///
 /// * New tasks are spliced into every known worker's row via a small
 ///   probe index over just the arrivals.
-/// * New workers get one circle query against the persistent task index.
+/// * New workers get one circle query each against a probe index built
+///   this batch over all open tasks (this window's arrivals included).
+///   No spatial index lives across batches: the open pool is a few
+///   hundred tasks, so one build per batch is cheap, and the index
+///   holds exactly the live set by construction.
 /// * Surviving row entries only need a deadline re-check at emission,
 ///   because the two non-trivial validity conditions of Definition 3
 ///   behave monotonically: the working-area test is time-invariant, and
@@ -208,10 +198,10 @@ class StreamingPlane {
   StreamingPlane& operator=(const StreamingPlane&) = delete;
 
   /// Appends this window's arrivals to the pools at batch time `now`.
-  /// Incremental mode also inserts the tasks into the persistent spatial
-  /// index, splices them into every known worker's row (one probe-index
-  /// query per worker) and computes fresh rows for the new workers (one
-  /// persistent-index query each).
+  /// Incremental mode also splices the tasks into every known worker's
+  /// row (one query per worker against a probe index over the arrivals)
+  /// and computes fresh rows for the new workers (one query each against
+  /// a probe index over all open tasks, built here).
   void Ingest(double now, std::span<const Worker> workers,
               std::span<const Task> tasks);
 
@@ -307,19 +297,15 @@ class StreamingPlane {
   const SolveDelta* BuildSolveDelta(const Instance& instance);
 
   /// Commits the solved batch: workers of started groups (>= B members)
-  /// go busy until `release_time`; started tasks leave the pool (and the
-  /// persistent index); non-started admitted tasks, deferred tasks and
-  /// any overlapped arrivals remain, in exactly the sequential loop's
-  /// carry-over order. Pool slots past the materialized prefix are the
-  /// overlapped arrivals; instance workers map to their slots through
-  /// the back-map.
+  /// go busy until `release_time`; started tasks leave the pool;
+  /// non-started admitted tasks, deferred tasks and any overlapped
+  /// arrivals remain, in exactly the sequential loop's carry-over order.
+  /// Pool slots past the materialized prefix are the overlapped
+  /// arrivals; instance workers map to their slots through the back-map.
   void Commit(const Instance& instance, const Assignment& assignment,
               double release_time);
 
   const StreamingPlaneConfig& config() const { return config_; }
-
-  /// Tombstone-triggered rebuilds of the persistent R-tree so far.
-  int64_t spatial_rebuilds() const { return spatial_rebuilds_; }
 
   /// Resolved ingest-pool width (1 when parallel ingest is off or the
   /// plane is in scratch mode).
@@ -344,16 +330,12 @@ class StreamingPlane {
     int64_t dropped = 0;
   };
 
-  /// Removes one task from the persistent index and invalidates its
-  /// handle. Row entries referencing it die lazily at the next emission.
+  /// Invalidates the handle of the task at pool `slot`. Row entries
+  /// referencing it die lazily at the next emission.
   void RemoveTask(int32_t slot);
 
   /// Restores slot_of_handle_ after a pool compaction/reorder.
   void RefreshSlots();
-
-  /// Bulk-reloads the persistent R-tree from the live pool once the
-  /// tombstone fraction is exceeded.
-  void MaybeRebuildSpatialIndex();
 
   /// Appends the row entries valid for `worker` at `now` among `tasks`
   /// (a probe index keyed by task handle) into rows_[handle], using and
@@ -405,12 +387,6 @@ class StreamingPlane {
   std::vector<std::pair<double, int32_t>> busy_;
   std::vector<int32_t> staged_releases_;
 
-  /// Persistent spatial index over the open tasks (keyed by handle).
-  /// Null in scratch mode.
-  std::unique_ptr<SpatialIndex> task_index_;
-  RTree* task_rtree_ = nullptr;  ///< downcast when backend == kRTree
-  int64_t spatial_rebuilds_ = 0;
-
   /// Admission state of the current batch.
   std::vector<int32_t> admitted_;  ///< permutation of slots (prefix used)
   int admitted_count_ = 0;
@@ -428,10 +404,11 @@ class StreamingPlane {
   int emit_chunks_ = 1;
   std::vector<uint8_t> scratch_active_;
 
-  /// Emission scratch (reused across batches).
+  /// Emission and ingest scratch (reused across batches); probe_items_
+  /// holds the (task handle, location) items of Ingest()'s probe indexes.
   std::vector<int32_t> instance_index_of_slot_;
   std::vector<int32_t> emit_row_;
-  std::vector<SpatialItem> rebuild_items_;
+  std::vector<SpatialItem> probe_items_;
   std::vector<Task> scratch_tasks_;
   std::vector<int32_t> scratch_handles_;
 

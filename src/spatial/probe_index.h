@@ -9,10 +9,12 @@
 
 namespace casc {
 
-/// The one shared sizing heuristic for throwaway per-batch probe indexes
-/// (the streaming splice's arrival-delta index and the from-scratch
-/// valid-pair scan's grid). Backend choice never affects outputs — every
-/// backend returns ascending ids — so these constants tune only speed.
+/// The one shared sizing heuristic for the throwaway per-batch probe
+/// indexes: the streaming splice's arrival-delta index, the streaming
+/// plane's open-task index for new workers' rows, and the from-scratch
+/// valid-pair query's index. The choice never affects outputs — both
+/// implementations return ascending ids — so these constants tune only
+/// speed.
 ///
 /// Below the cutoff a brute-force linear scan wins: building any index
 /// costs more than the handful of comparisons per probe it would save.
@@ -20,9 +22,7 @@ namespace casc {
 /// worker, so at 1M workers even a ~40-item delta deserves cell pruning):
 /// the grid overtakes the scan between ~12 and ~24 items for the small
 /// working radii large worlds use, and 16 sits in that window on every
-/// host tried (see EXPERIMENTS.md, PR 10 micro-bench note). Previously
-/// the splice probe used 16 while the scratch scan used a fixed default
-/// grid — same intent, two constants; now both route through here.
+/// host tried (see EXPERIMENTS.md; bench_micro_spatial re-measures it).
 inline constexpr size_t kProbeLinearScanCutoff = 16;
 
 /// Cells per side for a probe grid over `n` items: sqrt(n) targets ~1

@@ -5,11 +5,8 @@
 #include <vector>
 
 #include "geo/point.h"
-#include "geo/rect.h"
 
 namespace casc {
-
-class ThreadPool;
 
 /// An indexed point with an opaque caller-owned identifier (a task or
 /// worker index in the model layer).
@@ -18,9 +15,10 @@ struct SpatialItem {
   Point location;
 };
 
-/// Interface for 2-D point indexes used by the batch framework to retrieve
-/// the valid tasks inside each worker's working area (Algorithm 1, lines
-/// 4-5). Implementations: LinearScan (reference), GridIndex, RTree.
+/// Interface for the throwaway per-batch 2-D point indexes that answer
+/// "which items lie inside this worker's working area" (Algorithm 1,
+/// lines 4-5). Implementations: LinearScan (reference and tiny inputs)
+/// and GridIndex; MakeProbeIndex (spatial/probe_index.h) picks one.
 class SpatialIndex {
  public:
   virtual ~SpatialIndex() = default;
@@ -28,51 +26,15 @@ class SpatialIndex {
   /// Adds one item. Duplicate ids are allowed and returned independently.
   virtual void Insert(const SpatialItem& item) = 0;
 
-  /// Removes one item previously inserted with exactly this (id, location)
-  /// pair; returns false (and changes nothing) when no such item exists.
-  /// With duplicates, removes one arbitrary matching copy. The default
-  /// implementation refuses (returns false): only the mutation-capable
-  /// backends (GridIndex, RTree, LinearScan) support incremental
-  /// maintenance; callers holding other backends fall back to Build().
-  virtual bool Remove(const SpatialItem& item) {
-    (void)item;
-    return false;
-  }
+  /// Bulk-loads `items`, replacing current contents.
+  virtual void Build(const std::vector<SpatialItem>& items) = 0;
 
-  /// Bulk-loads `items`, replacing current contents. Implementations may
-  /// override with something faster than repeated Insert().
-  virtual void Build(const std::vector<SpatialItem>& items);
-
-  /// Inserts `items` as one batch, keeping current contents. The default
-  /// is a serial Insert() loop; mutation-capable backends may override
-  /// with a bulk or deterministically parallel path (fanning out on
-  /// `pool`, which may be null). Because every query sorts its results by
-  /// id, the internal layout an override produces never changes what any
-  /// later query returns relative to serial insertion.
-  virtual void InsertBatch(const std::vector<SpatialItem>& items,
-                           ThreadPool* pool);
-
-  /// Returns ids of all items inside `rect` (boundary inclusive),
-  /// in ascending id order.
-  virtual std::vector<int64_t> RangeQuery(const Rect& rect) const = 0;
-
-  /// Returns ids of all items within `radius` of `center` (boundary
-  /// inclusive), in ascending id order.
-  virtual std::vector<int64_t> CircleQuery(const Point& center,
-                                           double radius) const = 0;
-
-  /// CircleQuery() into a caller-owned buffer: `out` is cleared and
-  /// refilled (ascending id order), reusing its capacity. Hot streaming
-  /// paths issue one circle query per worker per batch; routing them
-  /// through a reused buffer removes that allocation churn entirely. The
-  /// default copies through CircleQuery(); the shipped backends override
-  /// it allocation-free.
+  /// Fills `out` (cleared first, capacity reused) with the ids of all
+  /// items within `radius` of `center` (boundary inclusive), in ascending
+  /// id order. Hot streaming paths issue one query per worker per batch,
+  /// so results go to a caller-owned buffer instead of a fresh vector.
   virtual void CircleQueryInto(const Point& center, double radius,
-                               std::vector<int64_t>* out) const;
-
-  /// Returns the `k` nearest items to `center`, closest first; ties broken
-  /// by ascending id. Returns fewer when the index holds fewer items.
-  virtual std::vector<int64_t> Knn(const Point& center, size_t k) const = 0;
+                               std::vector<int64_t>* out) const = 0;
 
   /// Number of stored items.
   virtual size_t Size() const = 0;

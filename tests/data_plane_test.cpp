@@ -274,76 +274,63 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AssignmentFuzzTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 // ---------------------------------------------------------------------------
-// Spatial backend agreement (satellite: selectable backend)
+// ComputeValidPairs vs. the O(m*n) Definition 3 oracle
 // ---------------------------------------------------------------------------
 
-struct BackendCase {
+struct OracleCase {
   std::string name;
   int workers;
   int tasks;
   uint64_t seed;
 };
 
-class BackendAgreementTest : public ::testing::TestWithParam<BackendCase> {};
+class ValidPairOracleTest : public ::testing::TestWithParam<OracleCase> {};
 
-TEST_P(BackendAgreementTest, AllBackendsProduceIdenticalPairSets) {
-  const BackendCase& param = GetParam();
-  const auto make = [&]() {
-    Rng rng(param.seed);
-    SyntheticInstanceConfig config;
-    config.num_workers = param.workers;
-    config.num_tasks = param.tasks;
-    return GenerateSyntheticInstance(config, 0.0, &rng);
-  };
+// The indexed build (one probe-index circle query per worker) must list
+// exactly the pairs a brute-force IsValidPair double loop accepts, in
+// ascending order in both directions.
+TEST_P(ValidPairOracleTest, IndexedBuildMatchesPairwiseCheck) {
+  const OracleCase& param = GetParam();
+  Rng rng(param.seed);
+  SyntheticInstanceConfig config;
+  config.num_workers = param.workers;
+  config.num_tasks = param.tasks;
+  Instance instance = GenerateSyntheticInstance(config, 0.0, &rng);
+  // The generator already computed the pairs; rebuild them from scratch.
+  instance.ReleaseValidPairs();
+  instance.ComputeValidPairs();
 
-  Instance rtree = make();
-  Instance grid = make();
-  Instance linear = make();
-  // The generator computes pairs with the process default; rebuild each
-  // copy from scratch with an explicit backend.
-  rtree.ReleaseValidPairs();
-  grid.ReleaseValidPairs();
-  linear.ReleaseValidPairs();
-  rtree.ComputeValidPairs(SpatialBackend::kRTree);
-  grid.ComputeValidPairs(SpatialBackend::kGridIndex);
-  linear.ComputeValidPairs(SpatialBackend::kLinearScan);
-
-  ASSERT_EQ(rtree.NumValidPairs(), linear.NumValidPairs());
-  ASSERT_EQ(grid.NumValidPairs(), linear.NumValidPairs());
-  for (WorkerIndex w = 0; w < linear.num_workers(); ++w) {
-    const std::span<const TaskIndex> expected = linear.ValidTasks(w);
-    const std::vector<TaskIndex> want(expected.begin(), expected.end());
-    const std::span<const TaskIndex> from_rtree = rtree.ValidTasks(w);
-    const std::span<const TaskIndex> from_grid = grid.ValidTasks(w);
-    EXPECT_EQ(std::vector<TaskIndex>(from_rtree.begin(), from_rtree.end()),
-              want)
-        << "rtree, worker " << w;
-    EXPECT_EQ(std::vector<TaskIndex>(from_grid.begin(), from_grid.end()),
-              want)
-        << "grid, worker " << w;
+  std::vector<std::vector<WorkerIndex>> candidates(
+      static_cast<size_t>(instance.num_tasks()));
+  size_t num_pairs = 0;
+  for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
+    std::vector<TaskIndex> want;
+    for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+      if (!instance.IsValidPair(w, t)) continue;
+      want.push_back(t);
+      candidates[static_cast<size_t>(t)].push_back(w);
+    }
+    num_pairs += want.size();
+    const std::span<const TaskIndex> got = instance.ValidTasks(w);
+    EXPECT_EQ(std::vector<TaskIndex>(got.begin(), got.end()), want)
+        << "worker " << w;
   }
-  for (TaskIndex t = 0; t < linear.num_tasks(); ++t) {
-    const std::span<const WorkerIndex> expected = linear.Candidates(t);
-    const std::vector<WorkerIndex> want(expected.begin(), expected.end());
-    const std::span<const WorkerIndex> from_rtree = rtree.Candidates(t);
-    const std::span<const WorkerIndex> from_grid = grid.Candidates(t);
-    EXPECT_EQ(
-        std::vector<WorkerIndex>(from_rtree.begin(), from_rtree.end()),
-        want)
-        << "rtree, task " << t;
-    EXPECT_EQ(std::vector<WorkerIndex>(from_grid.begin(), from_grid.end()),
-              want)
-        << "grid, task " << t;
+  EXPECT_EQ(instance.NumValidPairs(), num_pairs);
+  for (TaskIndex t = 0; t < instance.num_tasks(); ++t) {
+    const std::span<const WorkerIndex> got = instance.Candidates(t);
+    EXPECT_EQ(std::vector<WorkerIndex>(got.begin(), got.end()),
+              candidates[static_cast<size_t>(t)])
+        << "task " << t;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RandomInstances, BackendAgreementTest,
-    ::testing::Values(BackendCase{"tiny", 6, 4, 11},
-                      BackendCase{"small", 40, 15, 12},
-                      BackendCase{"medium", 200, 80, 13},
-                      BackendCase{"wide", 60, 240, 14}),
-    [](const ::testing::TestParamInfo<BackendCase>& info) {
+    RandomInstances, ValidPairOracleTest,
+    ::testing::Values(OracleCase{"tiny", 6, 4, 11},
+                      OracleCase{"small", 40, 15, 12},
+                      OracleCase{"medium", 200, 80, 13},
+                      OracleCase{"wide", 60, 240, 14}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
       return info.param.name;
     });
 
@@ -369,7 +356,7 @@ TEST(BatchWorkspaceTest, SteadyStateStreamingDoesNotGrowBackingArrays) {
     Instance instance(seed_batch.workers(), seed_batch.tasks(),
                       seed_batch.coop(), seed_batch.now(),
                       seed_batch.min_group_size());
-    instance.ComputeValidPairs(DefaultSpatialBackend(), &workspace);
+    instance.ComputeValidPairs(&workspace);
     Assignment assignment = workspace.AcquireAssignment(instance);
     for (WorkerIndex w = 0; w < instance.num_workers(); ++w) {
       for (const TaskIndex t : instance.ValidTasks(w)) {

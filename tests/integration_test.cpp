@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "algo/best_response.h"
@@ -10,6 +12,7 @@
 #include "bench_util/replication.h"
 #include "bench_util/settings.h"
 #include "bench_util/table_printer.h"
+#include "common/status.h"
 #include "common/strings.h"
 #include "model/objective.h"
 
@@ -97,6 +100,48 @@ TEST(ExperimentTest, SettingsUnitConversion) {
   EXPECT_DOUBLE_EQ(config.speed_max, 0.10);
   EXPECT_DOUBLE_EQ(config.radius_min, 0.15);
   EXPECT_DOUBLE_EQ(config.radius_max, 0.20);
+}
+
+TEST(ExperimentTest, SettingsValidateAcceptsDefaultsAndEdges) {
+  EXPECT_TRUE(ExperimentSettings{}.Validate().ok());
+  ExperimentSettings edges;
+  edges.num_workers = 0;
+  edges.num_tasks = 0;
+  edges.min_group_size = 2;
+  edges.capacity = 2;
+  EXPECT_TRUE(edges.Validate().ok());
+}
+
+// The cases `casc_cli generate` used to crash on (a length_error from
+// --workers -5, Instance CHECKs from --min-group 1, --capacity 0 and
+// --min-group 9 > capacity), plus the remaining range checks.
+TEST(ExperimentTest, SettingsValidateRejectsBadValues) {
+  const std::vector<std::pair<std::string,
+                              std::function<void(ExperimentSettings*)>>>
+      cases = {
+          {"workers -5", [](ExperimentSettings* s) { s->num_workers = -5; }},
+          {"tasks -1", [](ExperimentSettings* s) { s->num_tasks = -1; }},
+          {"min-group 1",
+           [](ExperimentSettings* s) { s->min_group_size = 1; }},
+          {"capacity 0", [](ExperimentSettings* s) { s->capacity = 0; }},
+          {"min-group 9", [](ExperimentSettings* s) { s->min_group_size = 9; }},
+          {"speed range",
+           [](ExperimentSettings* s) { s->speed_min_pct = 6.0; }},
+          {"negative speed",
+           [](ExperimentSettings* s) { s->speed_min_pct = -1.0; }},
+          {"radius range",
+           [](ExperimentSettings* s) { s->radius_max_pct = 1.0; }},
+          {"remaining time",
+           [](ExperimentSettings* s) { s->remaining_time = -1.0; }},
+          {"epsilon", [](ExperimentSettings* s) { s->epsilon = -0.1; }},
+          {"rounds", [](ExperimentSettings* s) { s->rounds = -1; }},
+      };
+  for (const auto& [name, mutate] : cases) {
+    ExperimentSettings settings;
+    mutate(&settings);
+    const Status status = settings.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

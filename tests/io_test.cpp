@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "algo/tpg_assigner.h"
 #include "common/rng.h"
@@ -134,6 +135,79 @@ TEST(InstanceIoTest, RejectsCapacityBelowMinGroup) {
       "coop\n"
       "end\n");
   EXPECT_FALSE(LoadInstance(&stream).ok());
+}
+
+// A header count with too few records fails on the first missing record
+// instead of reserving storage for the claimed count up front.
+TEST(InstanceIoTest, HugeCountFailsOnMissingRecords) {
+  std::stringstream workers(
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 2000000000\n"
+      "0 0.1 0.1 0.5 0.5 0\n");
+  const Result<Instance> from_workers = LoadInstance(&workers);
+  ASSERT_FALSE(from_workers.ok());
+  EXPECT_EQ(from_workers.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(from_workers.status().message(), "bad worker record 1");
+
+  std::stringstream tasks(
+      "casc-instance v1\n"
+      "now 0 min_group 2\n"
+      "workers 0\n"
+      "tasks 2000000000\n"
+      "0 0.15 0.15 0 5 2\n");
+  const Result<Instance> from_tasks = LoadInstance(&tasks);
+  ASSERT_FALSE(from_tasks.ok());
+  EXPECT_EQ(from_tasks.status().message(), "bad task record 1");
+}
+
+// Counts, group sizes and capacities are ints in the model; larger values
+// (here 2^32 + 2, which an int cast would truncate to 2) are rejected.
+TEST(InstanceIoTest, RejectsValuesAboveIntMax) {
+  const std::string big = "4294967298";
+  const std::string worker_records =
+      "0 0.1 0.1 0.5 0.5 0\n"
+      "1 0.2 0.2 0.5 0.5 0\n";
+  const std::string ok_workers = "workers 2\n" + worker_records;
+  const std::string ok_tasks =
+      "tasks 1\n"
+      "0 0.15 0.15 0 5 2\n";
+  const std::string coop_tail = "coop\n0 0.5\n0.5 0\nend\n";
+  const auto load = [](const std::string& text) {
+    std::stringstream stream(text);
+    return LoadInstance(&stream);
+  };
+  const std::string header = "casc-instance v1\nnow 0 min_group 2\n";
+  // The well-formed document loads; each case below changes one number.
+  ASSERT_TRUE(load(header + ok_workers + ok_tasks + coop_tail).ok());
+
+  const Result<Instance> huge_workers =
+      load(header + "workers 100000000000\n" + ok_tasks + coop_tail);
+  ASSERT_FALSE(huge_workers.ok());
+  EXPECT_EQ(huge_workers.status().message(), "bad worker count");
+
+  const Result<Instance> wrapping_workers = load(
+      header + "workers " + big + "\n" + worker_records + ok_tasks +
+      coop_tail);
+  ASSERT_FALSE(wrapping_workers.ok());
+  EXPECT_EQ(wrapping_workers.status().message(), "bad worker count");
+
+  const Result<Instance> huge_tasks =
+      load(header + ok_workers + "tasks 100000000000\n" + coop_tail);
+  ASSERT_FALSE(huge_tasks.ok());
+  EXPECT_EQ(huge_tasks.status().message(), "bad task count");
+
+  const Result<Instance> wrapping_min_group =
+      load("casc-instance v1\nnow 0 min_group " + big + "\n" + ok_workers +
+           ok_tasks + coop_tail);
+  ASSERT_FALSE(wrapping_min_group.ok());
+  EXPECT_EQ(wrapping_min_group.status().message(), "bad min_group");
+
+  const Result<Instance> wrapping_capacity = load(
+      header + ok_workers + "tasks 1\n0 0.15 0.15 0 5 " + big + "\n" +
+      coop_tail);
+  ASSERT_FALSE(wrapping_capacity.ok());
+  EXPECT_EQ(wrapping_capacity.status().message(), "bad task record 0");
 }
 
 TEST(InstanceIoTest, EmptyInstanceRoundTrips) {

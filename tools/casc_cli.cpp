@@ -11,9 +11,12 @@
 // Instances and assignments use the text formats of model/io.h, so any
 // external tool can produce or consume them.
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <utility>
 
 #include "algo/exact_assigner.h"
 #include "algo/upper_bound.h"
@@ -44,13 +47,35 @@ void PrintUsage() {
       "  upper     --instance FILE\n");
 }
 
+// Reads an int-valued flag, rejecting values an int cannot hold.
+casc::Status GetIntFlag(const casc::FlagParser& flags, const std::string& name,
+                        int* out) {
+  const int64_t value = flags.GetInt64(name);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return casc::Status::InvalidArgument("--" + name + " out of range: " +
+                                         std::to_string(value));
+  }
+  *out = static_cast<int>(value);
+  return casc::Status::Ok();
+}
+
 int RunGenerate(const casc::FlagParser& flags) {
   casc::ExperimentSettings settings;
-  settings.num_workers = static_cast<int>(flags.GetInt64("workers"));
-  settings.num_tasks = static_cast<int>(flags.GetInt64("tasks"));
   settings.seed = static_cast<uint64_t>(flags.GetInt64("seed"));
-  settings.capacity = static_cast<int>(flags.GetInt64("capacity"));
-  settings.min_group_size = static_cast<int>(flags.GetInt64("min-group"));
+  for (const auto& [name, field] :
+       {std::pair{"workers", &settings.num_workers},
+        std::pair{"tasks", &settings.num_tasks},
+        std::pair{"capacity", &settings.capacity},
+        std::pair{"min-group", &settings.min_group_size}}) {
+    if (const casc::Status status = GetIntFlag(flags, name, field);
+        !status.ok()) {
+      return Fail(status);
+    }
+  }
+  if (const casc::Status status = settings.Validate(); !status.ok()) {
+    return Fail(status);
+  }
 
   const std::string kind = flags.GetString("kind");
   std::unique_ptr<casc::InstanceSource> source;
